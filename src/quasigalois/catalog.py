@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from .census import census
 from .cyclotomic import FieldContext, FieldElement
-from .errors import ParameterViolation
+from .errors import InvariantViolation, ParameterViolation
 from .geometry import HomoPoly, PlaneCurve, ProjLine, ProjMatrix, ProjPoint
 from .groups import group_closure, line_action_analysis
-from .smoothness import is_smooth
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +483,8 @@ def _build_quartic_klein(params):
     z7 = ctx.root_of_unity(7)
     gauss = z7 + z7 ** 2 + z7 ** 4 - (z7 ** 3 + z7 ** 5 + z7 ** 6)  # gauss^2 = -7
     a = (gauss * 3 - 3) / 2
-    assert _klein_parameter_test(a), "the parameter must satisfy a^2 + 3a + 18 = 0"
+    if not _klein_parameter_test(a):
+        raise InvariantViolation("the parameter must satisfy a^2 + 3a + 18 = 0")
     curve = PlaneCurve(
         _form(
             ctx,
@@ -501,7 +501,8 @@ def _build_quartic_klein(params):
     )
     # 4a/(6-a) is a square already in this field; lam is one of its roots.
     lam = 1 - z ** 2 + z ** 4 + z ** 8
-    assert lam * lam == (a * 4) / (ctx.from_int(6) - a)
+    if lam * lam != (a * 4) / (ctx.from_int(6) - a):
+        raise InvariantViolation("lam must be a square root of 4a/(6-a)")
     zero, one = ctx.zero(), ctx.one()
     two_over_lam = ctx.from_int(2) / lam
     tau = ProjMatrix(
@@ -563,15 +564,6 @@ def make(name, **params):
             "unknown catalog entry %r (choose from %s)" % (name, ", ".join(_BUILDERS))
         )
     return builder(dict(params))
-
-
-def expected_table():
-    """All default entries paired with their expected data."""
-    table = []
-    for name in entry_names():
-        instance = make(name)
-        table.append((instance, instance.expected))
-    return table
 
 
 # ---------------------------------------------------------------------------

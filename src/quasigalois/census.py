@@ -1,9 +1,9 @@
 """Seed-driven census of quasi-Galois points: orbit closure, pairs, counts.
 
-Starting from seed points, the census classifies each point, applies every
-homology generator found to every known point (images of quasi-Galois points
-under curve automorphisms are again quasi-Galois with conjugated groups), and
-repeats to a fixpoint.  It then records mutual pairs — two points whose
+Starting from seed points, the census classifies each point and closes the
+point set under every homology generator found, applying each generator to
+each point exactly once (images of quasi-Galois points under curve
+automorphisms are again quasi-Galois with conjugated groups).  It then records mutual pairs — two points whose
 generators fix each other's center — the triangles they form, the per-order
 tallies delta[n] (points on the curve with group order exactly n) and
 delta_prime[n] (points off the curve), and a certification status:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import ClosureCapExceeded, NotAGPair, SamePoint
+from .errors import ClosureCapExceeded, InvariantViolation, NotAGPair, SamePoint
 from .geometry import ProjMatrix
 from .homology import classify_point
 
@@ -29,37 +29,36 @@ from .homology import classify_point
 def orbit_expand(form, seeds, cap=10000):
     """Classify seeds and close the point set under all discovered homologies.
 
-    Returns an insertion-ordered dict mapping each point to its PointRecord.
-    Raises ClosureCapExceeded when more than `cap` points appear.
+    Each generator is applied to each point exactly once: a newly classified
+    point gets the generators already known, and a newly found generator is
+    applied to every point classified so far.  Returns an insertion-ordered
+    dict mapping each point to its PointRecord.  Raises ClosureCapExceeded
+    when more than `cap` points appear.
     """
     records = {}
     generators = []
-    work = []
-    for p in seeds:
-        if p not in records and p not in work:
-            work.append(p)
-    while True:
-        while work:
-            p = work.pop(0)
-            if p in records:
-                continue
-            if len(records) >= cap:
-                raise ClosureCapExceeded(cap)
-            rec = classify_point(form, p)
-            records[p] = rec
-            if rec.is_quasi_galois:
-                generators.append(rec.generator.matrix)
-        fresh = []
-        seen = set(records)
+    points = list(dict.fromkeys(seeds))
+    seen = set(points)
+
+    def add_image(g, p):
+        q = g.apply_to_point(p)
+        if q not in seen:
+            seen.add(q)
+            points.append(q)
+
+    for p in points:  # grows while it is iterated
+        if len(records) >= cap:
+            raise ClosureCapExceeded(cap)
+        rec = classify_point(form, p)
+        records[p] = rec
         for g in generators:
-            for p in list(records):
-                q = g.apply_to_point(p)
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-        if not fresh:
-            return records
-        work.extend(fresh)
+            add_image(g, p)
+        if rec.is_quasi_galois:
+            g = rec.generator.matrix
+            generators.append(g)
+            for r in records:
+                add_image(g, r)
+    return records
 
 
 def is_mutual_pair(rec1, rec2):
@@ -74,7 +73,8 @@ def is_mutual_pair(rec1, rec2):
         return False
     f12 = rec1.generator.matrix.apply_to_point(rec2.point) == rec2.point
     f21 = rec2.generator.matrix.apply_to_point(rec1.point) == rec1.point
-    assert f12 == f21, "mutual fixing must be symmetric"
+    if f12 != f21:
+        raise InvariantViolation("mutual fixing must be symmetric")
     return f12
 
 
@@ -110,7 +110,8 @@ def make_pair(rec1, rec2):
     if not is_mutual_pair(rec1, rec2):
         raise NotAGPair("the generators do not fix each other's center")
     a1, a2 = rec1.generator.axis, rec2.generator.axis
-    assert a1 != a2, "the axes of a mutual pair are distinct"
+    if a1 == a2:
+        raise InvariantViolation("the axes of a mutual pair are distinct")
     third = a1.meet(a2)
     return PairInfo(rec1, rec2, gcd(rec1.order, rec2.order), third)
 
@@ -160,11 +161,12 @@ def normalize_pair(form, rec1, rec2):
     normalized = form.pullback(base_change)
     for var, order in ((0, rec1.order), (1, rec2.order)):
         residues = {e[var] % order for e in normalized.terms}
-        assert len(residues) <= 1, (
-            "normalized pair form must use one exponent class per axis variable"
-        )
-        if not rec1.on_curve and not rec2.on_curve:
-            assert residues <= {0}, (
+        if len(residues) > 1:
+            raise InvariantViolation(
+                "normalized pair form must use one exponent class per axis variable"
+            )
+        if not rec1.on_curve and not rec2.on_curve and not residues <= {0}:
+            raise InvariantViolation(
                 "outer pair: exponents are multiples of each point's order"
             )
     return base_change, normalized, pair.n
@@ -262,7 +264,7 @@ def _tally(records, on_curve, top):
 
 def _certify(degree, delta_prime):
     if degree == 6:
-        bound = 3 * degree * (degree - 2) // (degree * 1)  # flex bound, n = 3
+        bound = 12  # flex bound, n = 3: 3d(d-2)/d = 12 at d = 6
         attained = sum(c for k, c in delta_prime.items() if k >= 3)
         if attained == bound:
             return "certified", bound, attained
@@ -313,9 +315,10 @@ def _assert_groups_disjoint(records):
     power_sets = [_power_keys(rec) for rec in qg]
     for i in range(len(qg)):
         for j in range(i + 1, len(qg)):
-            assert not (power_sets[i] & power_sets[j]), (
-                "homology groups at distinct points intersect trivially"
-            )
+            if power_sets[i] & power_sets[j]:
+                raise InvariantViolation(
+                    "homology groups at distinct points intersect trivially"
+                )
 
 
 def _assert_pair_fixed_loci_off_curve(form, pairs):
@@ -325,6 +328,7 @@ def _assert_pair_fixed_loci_off_curve(form, pairs):
             continue
         # the common fixed locus of the two generators is {P1, P2, third}
         for p in (r1.point, r2.point, pair.third):
-            assert not form.vanishes_at(p), (
-                "for an outer mutual pair the common fixed points avoid the curve"
-            )
+            if form.vanishes_at(p):
+                raise InvariantViolation(
+                    "for an outer mutual pair the common fixed points avoid the curve"
+                )

@@ -8,8 +8,8 @@ smooth         exact smoothness test of a homogeneous form (no other gates)
 point          classify a single point: cyclic-group order, locus, axis
 profile        intersection profile of a line against the curve
 closure        grow the matrix group generated by a JSON list of matrices
-verify-paper   run the built-in catalog: exact checks first, then numeric
-               cross-checks (warnings unless --strict)
+verify-paper   run the built-in catalog one case after another: exact checks
+               first, then numeric cross-checks (warnings unless --strict)
 oracle-census  floating-point multistart search for centers, as a heuristic
                cross-check of the exact census (never a certificate)
 
@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog
 from .census import census
@@ -426,15 +425,10 @@ def _cmd_verify_paper(args):
         selected = {c: cases[c] for c in sorted(set(args.case))}
     else:
         selected = cases
-    workers = args.threads or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            name: pool.submit(
-                _run_case, name, spec, args.seed, not args.no_oracle
-            )
-            for name, spec in selected.items()
-        }
-        results = [futures[name].result() for name in selected]
+    results = [
+        _run_case(name, spec, args.seed, not args.no_oracle)
+        for name, spec in selected.items()
+    ]
 
     strict_failures = [
         r["name"] for r in results if args.strict and r["warnings"]
@@ -543,7 +537,6 @@ def build_parser():
         action="store_true",
         help="skip the numeric cross-checks entirely",
     )
-    p.add_argument("--threads", type=int, help="parallel cases (default: cores)")
     p.add_argument("--seed", type=int, default=0, help="oracle RNG seed")
     _add_format(p)
     p.set_defaults(func=_cmd_verify_paper)

@@ -67,6 +67,13 @@ class NotAGPair(QuasiGaloisError):
     """The two records do not form a mutually-fixing pair with a common order."""
 
 
+class InvariantViolation(QuasiGaloisError):
+    """A mathematical invariant the toolkit relies on failed to hold.
+
+    Raised instead of ``assert`` so the check still runs under ``python -O``.
+    """
+
+
 class ClosureCapExceeded(QuasiGaloisError):
     """A closure computation exceeded its element cap without stabilizing."""
 

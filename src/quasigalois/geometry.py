@@ -9,7 +9,9 @@ multiplicities and full intersection profiles are computed exactly.
 
 from __future__ import annotations
 
+from .cyclotomic import FieldElement
 from .errors import (
+    InvariantViolation,
     LineContainedInCurve,
     NotSmooth,
     PointNotOnCurve,
@@ -31,6 +33,23 @@ def _canonicalize(coords):
         return tuple(coords)
     inv = pivot.inverse()
     return tuple(c * inv for c in coords)
+
+
+def _cross(a, b):
+    """Cross product of two coordinate triples."""
+    return [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
+
+
+def _powers(base, d, one):
+    """The list [one, base, base^2, ..., base^d]."""
+    out = [one]
+    for _ in range(d):
+        out.append(out[-1] * base)
+    return out
 
 
 class ProjPoint:
@@ -85,15 +104,7 @@ class ProjLine:
         """The unique line through two distinct points (cross product)."""
         if p == q:
             raise ValueError("points coincide; no unique line")
-        a, b = p.coords, q.coords
-        return cls(
-            p.context,
-            [
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            ],
-        )
+        return cls(p.context, _cross(p.coords, q.coords))
 
     def evaluate(self, point):
         return sum(
@@ -128,15 +139,7 @@ class ProjLine:
         """Intersection point of two distinct lines (cross product)."""
         if self == other:
             raise ValueError("lines coincide; no unique intersection")
-        a, b = self.coeffs, other.coeffs
-        return ProjPoint(
-            self.context,
-            [
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            ],
-        )
+        return ProjPoint(self.context, _cross(self.coeffs, other.coeffs))
 
     def key(self):
         return tuple(c.key() for c in self.coeffs)
@@ -276,11 +279,7 @@ class ProjMatrix:
         """Hashable key invariant under scalar rescaling of the matrix."""
         if self._ckey is None:
             flat = [c for row in self.rows for c in row]
-            pivot = next((c for c in flat if not c.is_zero()), None)
-            if pivot is None:
-                raise ValueError("zero matrix")
-            inv = pivot.inverse()
-            self._ckey = tuple((c * inv).key() for c in flat)
+            self._ckey = tuple(c.key() for c in _canonicalize(flat))
         return self._ckey
 
     def proj_eq(self, other):
@@ -376,7 +375,7 @@ class HomoPoly:
         if not isinstance(other, HomoPoly):
             return self.scale(
                 other
-                if type(other).__name__ == "FieldElement"
+                if isinstance(other, FieldElement)
                 else self.context.from_rational(other)
             )
         zero = self.context.zero()
@@ -405,9 +404,9 @@ class HomoPoly:
         ctx = self.context
         x, y, z = point.coords if isinstance(point, ProjPoint) else point
         d = self.degree
-        px = _power_table(x, d, ctx)
-        py = _power_table(y, d, ctx)
-        pz = _power_table(z, d, ctx)
+        px = _powers(x, d, ctx.one())
+        py = _powers(y, d, ctx.one())
+        pz = _powers(z, d, ctx.one())
         acc = ctx.zero()
         for (i, j, k), c in self.terms.items():
             acc = acc + c * px[i] * py[j] * pz[k]
@@ -438,7 +437,8 @@ class HomoPoly:
         rows = [
             HomoPoly.linear_form(ctx, matrix.rows[i]) for i in range(3)
         ]
-        pows = [_form_power_table(rows[v], d) for v in range(3)]
+        one = HomoPoly(ctx, 0, {(0, 0, 0): ctx.one()})
+        pows = [_powers(rows[v], d, one) for v in range(3)]
         acc = HomoPoly.zero(ctx, d)
         for (i, j, k), c in self.terms.items():
             acc = acc + (pows[0][i] * pows[1][j] * pows[2][k]).scale(c)
@@ -457,14 +457,16 @@ class HomoPoly:
         """Binary form of F(s*P + t*Q) as a dense coefficient list in t-degree."""
         ctx = self.context
         d = self.degree
-        # coordinate m of s*P + t*Q is the binary linear form (P_m, Q_m)
-        lin = [[p.coords[m], q.coords[m]] for m in range(3)]
-        pows = [_binary_power_table(lin[m], d, ctx) for m in range(3)]
-        zero = ctx.zero()
-        out = [zero] * (d + 1)
+        # coordinate m of s*P + t*Q is the binary linear form P_m + Q_m t
+        one = UniPoly.constant(ctx, ctx.one())
+        pows = [
+            _powers(UniPoly(ctx, [p.coords[m], q.coords[m]]), d, one)
+            for m in range(3)
+        ]
+        out = [ctx.zero()] * (d + 1)
         for (i, j, k), c in self.terms.items():
-            prod = _binary_mul(_binary_mul(pows[0][i], pows[1][j], ctx), pows[2][k], ctx)
-            for m, v in enumerate(prod):
+            prod = pows[0][i] * pows[1][j] * pows[2][k]
+            for m, v in enumerate(prod.coeffs):
                 if not v.is_zero():
                     out[m] = out[m] + c * v
         return out
@@ -503,40 +505,6 @@ class HomoPoly:
             )
             parts.append("(%r)%s" % (c, "*" + mono if mono else ""))
         return "HomoPoly[deg %d](%s)" % (self.degree, " + ".join(parts) or "0")
-
-
-def _power_table(x, d, ctx):
-    out = [ctx.one()]
-    for _ in range(d):
-        out.append(out[-1] * x)
-    return out
-
-
-def _form_power_table(form, d):
-    ctx = form.context
-    out = [HomoPoly(ctx, 0, {(0, 0, 0): ctx.one()})]
-    for _ in range(d):
-        out.append(out[-1] * form)
-    return out
-
-
-def _binary_mul(a, b, ctx):
-    zero = ctx.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _binary_power_table(lin, d, ctx):
-    out = [[ctx.one()]]
-    for _ in range(d):
-        out.append(_binary_mul(out[-1], lin, ctx))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +548,8 @@ def line_profile(form, line):
         mults.append(deficiency)
     for factor, mult in squarefree_decomposition(chart):
         mults.extend([mult] * factor.degree())
-    assert sum(mults) == d
+    if sum(mults) != d:
+        raise InvariantViolation("a line meets the curve in deg(form) points")
     return tuple(sorted(mults, reverse=True))
 
 
@@ -592,20 +561,6 @@ def tangent_line(form, point):
     if all(g.is_zero() for g in grad):
         raise NotSmooth("the curve is singular at the given point")
     return ProjLine(form.context, list(grad))
-
-
-def hessian_determinant(form):
-    """Determinant of the matrix of second partials (a form of degree 3(d-2))."""
-    second = [[form.partial(i).partial(j) for j in range(3)] for i in range(3)]
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    return det3(second)
 
 
 class PlaneCurve:

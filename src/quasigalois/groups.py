@@ -13,8 +13,8 @@ symmetric groups on four letters).
 
 from __future__ import annotations
 
-from .errors import ClosureCapExceeded, LineNotPreserved
-from .geometry import ProjMatrix
+from .errors import ClosureCapExceeded, InvariantViolation, LineNotPreserved
+from .geometry import ProjMatrix, _canonicalize
 
 
 def group_closure(generators, cap=1000):
@@ -23,28 +23,31 @@ def group_closure(generators, cap=1000):
         raise ValueError("need at least one generator")
     ctx = generators[0].context
     identity = ProjMatrix.identity(ctx)
-    seen = {identity.canonical_key(): identity}
-    queue = [identity]
-    while queue:
-        m = queue.pop(0)
+    elements = [identity]
+    seen = {identity.canonical_key()}
+    for m in elements:  # grows while it is iterated
         for g in generators:
             nm = g * m
             key = nm.canonical_key()
             if key not in seen:
                 if len(seen) >= cap:
                     raise ClosureCapExceeded(cap)
-                seen[key] = nm
-                queue.append(nm)
-    return list(seen.values())
+                seen.add(key)
+                elements.append(nm)
+    return elements
 
 
 def projective_order(matrix, cap=1000):
     """Smallest k >= 1 with matrix^k a scalar matrix."""
-    ctx = matrix.context
-    identity_key = ProjMatrix.identity(ctx).canonical_key()
+    identity_key = ProjMatrix.identity(matrix.context).canonical_key()
+    return _order_modulo(matrix, {identity_key}, cap)
+
+
+def _order_modulo(matrix, subgroup_keys, cap):
+    """Smallest k >= 1 with matrix^k in a subgroup given by canonical keys."""
     acc = matrix
     for k in range(1, cap + 1):
-        if acc.canonical_key() == identity_key:
+        if acc.canonical_key() in subgroup_keys:
             return k
         acc = acc * matrix
     raise ValueError("projective order exceeds cap")
@@ -92,40 +95,13 @@ def restrict_to_line(matrix, line):
 
 
 def _canon2(m2):
-    flat = (m2[0][0], m2[0][1], m2[1][0], m2[1][1])
-    pivot = next((c for c in flat if not c.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero 2x2 matrix")
-    inv = pivot.inverse()
-    return tuple((c * inv).key() for c in flat)
-
-
-def _mul2(a, b):
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
+    return tuple(c.key() for c in _canonicalize((*m2[0], *m2[1])))
 
 
 def _is_scalar2(m2):
     return (
         m2[0][1].is_zero() and m2[1][0].is_zero() and m2[0][0] == m2[1][1]
     )
-
-
-def _proj_order2(m2, cap=128):
-    acc = m2
-    for k in range(1, cap + 1):
-        if _is_scalar2(acc):
-            return k
-        acc = _mul2(acc, m2)
-    raise ValueError("projective order exceeds cap")
 
 
 class LineActionReport:
@@ -151,23 +127,24 @@ class LineActionReport:
 def line_action_analysis(group, line):
     """Restrict a matrix group to an invariant line and describe the quotient.
 
-    Returns a LineActionReport; asserts |G| = |kernel| * |image| as a
-    homomorphism sanity check.
+    Returns a LineActionReport; checks |G| = |kernel| * |image| as a
+    homomorphism sanity check.  The order of an image class is the least k
+    with m^k in the kernel, for any m in the class.
     """
     images = {}
-    kernel = 0
+    kernel = []
     for m in group:
         r2 = restrict_to_line(m, line)
-        key = _canon2(r2)
-        if key not in images:
-            images[key] = r2
+        images.setdefault(_canon2(r2), m)
         if _is_scalar2(r2):
-            kernel += 1
-    assert kernel * len(images) == len(group), (
-        "line action must be a homomorphism: |G| = |kernel| * |image|"
-    )
+            kernel.append(m.canonical_key())
+    if len(kernel) * len(images) != len(group):
+        raise InvariantViolation(
+            "line action must be a homomorphism: |G| = |kernel| * |image|"
+        )
+    kernel_keys = set(kernel)
     histogram = {}
-    for r2 in images.values():
-        o = _proj_order2(r2)
+    for m in images.values():
+        o = _order_modulo(m, kernel_keys, cap=len(group))
         histogram[o] = histogram.get(o, 0) + 1
-    return LineActionReport(len(group), kernel, len(images), histogram)
+    return LineActionReport(len(group), len(kernel), len(images), histogram)

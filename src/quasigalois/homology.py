@@ -21,13 +21,18 @@ exists iff one with the chosen primitive ratio does.
 
 from __future__ import annotations
 
-from .errors import NotAHomology, OrderNotDividing, RootOfUnityUnavailable
+from .errors import (
+    InvariantViolation,
+    NotAHomology,
+    OrderNotDividing,
+    RootOfUnityUnavailable,
+)
 from .cyclotomic import multiplicative_order
 from .geometry import (
-    HomoPoly,
     ProjLine,
     ProjMatrix,
     ProjPoint,
+    _cross,
     intersection_multiplicity,
     tangent_line,
 )
@@ -238,16 +243,18 @@ def classify_point(form, point):
     if not found:
         return PointRecord(point, on_curve, deg_pi, 1, None, None)
     order = max(found)
-    assert set(found) == {
-        n for n in candidates if order % n == 0
-    }, "homology orders at a point must be the divisors of the maximum"
+    if set(found) != {n for n in candidates if order % n == 0}:
+        raise InvariantViolation(
+            "homology orders at a point must be the divisors of the maximum"
+        )
     tangency = None
     if on_curve:
         t = tangent_line(form, point)
         tangency = intersection_multiplicity(form, t, point)
-        assert tangency % order == 1, (
-            "tangency order at an inner quasi-Galois point must be 1 mod n"
-        )
+        if tangency % order != 1:
+            raise InvariantViolation(
+                "tangency order at an inner quasi-Galois point must be 1 mod n"
+            )
     return PointRecord(point, on_curve, deg_pi, order, found[order], tangency)
 
 
@@ -296,10 +303,7 @@ def homology_from_matrix(matrix, order_cap=256):
         raise NotAHomology("the matrix is scalar")
     for row in shifted:
         # cross product with the chosen row must vanish (proportionality)
-        cx = axis_row[1] * row[2] - axis_row[2] * row[1]
-        cy = axis_row[2] * row[0] - axis_row[0] * row[2]
-        cz = axis_row[0] * row[1] - axis_row[1] * row[0]
-        if not (cx.is_zero() and cy.is_zero() and cz.is_zero()):
+        if any(not c.is_zero() for c in _cross(axis_row, row)):
             raise NotAHomology("the repeated eigenspace is not a plane")
     axis = ProjLine(ctx, axis_row)
     # center: kernel of M - mu I via cross products of two independent rows
@@ -310,12 +314,7 @@ def homology_from_matrix(matrix, order_cap=256):
     center = None
     for i in range(3):
         for j in range(i + 1, 3):
-            a, bb = shifted_mu[i], shifted_mu[j]
-            cross = [
-                a[1] * bb[2] - a[2] * bb[1],
-                a[2] * bb[0] - a[0] * bb[2],
-                a[0] * bb[1] - a[1] * bb[0],
-            ]
+            cross = _cross(shifted_mu[i], shifted_mu[j])
             if any(not c.is_zero() for c in cross):
                 center = ProjPoint(ctx, cross)
                 break

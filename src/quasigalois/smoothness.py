@@ -25,6 +25,7 @@ are decided by a univariate gcd plus a separate test at the point (0:1).
 
 from __future__ import annotations
 
+from .errors import InvariantViolation
 from .unipoly import UniPoly, poly_gcd, poly_xgcd, resultant, squarefree_part
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def _branch_has_common_zero(gs, m):
         acc = _d5_gcd(acc, q, m)
         if not acc:
             # can only happen transiently; re-trim guarantees nonzero here
-            raise AssertionError("gcd collapsed to zero in a branch")
+            raise InvariantViolation("gcd collapsed to zero in a branch")
         if len(acc) == 1:
             break
     # leading coefficient of acc is a unit mod m, so the y-degree of the gcd
@@ -359,7 +360,7 @@ def _chart_has_common_zero(gs):
                 elims.append(r)
                 break
         if not elims:
-            raise AssertionError("failed to build a nonzero eliminant")
+            raise InvariantViolation("failed to build a nonzero eliminant")
     w = elims[0]
     for r in elims[1:]:
         w = poly_gcd(w, r)

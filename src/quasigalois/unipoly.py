@@ -122,7 +122,7 @@ class UniPoly:
             # scalar
             s = (
                 other
-                if type(other).__name__ == "FieldElement"
+                if isinstance(other, FieldElement)
                 else self.context.from_rational(other)
             )
             return UniPoly(self.context, [c * s for c in self.coeffs])

@@ -6,8 +6,11 @@ from quasigalois import (
     ClosureCapExceeded,
     FieldContext,
     HomoPoly,
+    InvariantViolation,
     NotAGPair,
     PlaneCurve,
+    PointRecord,
+    ProjMatrix,
     ProjPoint,
     SamePoint,
     census,
@@ -20,6 +23,7 @@ from quasigalois import (
     orbit_expand,
 )
 from quasigalois import catalog
+from quasigalois.census import _assert_groups_disjoint
 from quasigalois.serialize import sorted_records
 
 
@@ -92,6 +96,35 @@ def test_orbit_expand_closes_under_generators():
             continue
         for p in pts:
             assert rec.generator.matrix.apply_to_point(p) in pts
+
+
+def test_orbit_expand_applies_each_generator_to_each_point_once(monkeypatch):
+    inst = catalog.make("fermat_quartic")
+    ctx = inst.context
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+    original = ProjMatrix.apply_to_point
+    calls = []
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(ProjMatrix, "apply_to_point", counting)
+    expanded = orbit_expand(inst.curve.form, seeds)
+    generators = [r for r in expanded.values() if r.is_quasi_galois]
+    assert len(expanded) == 15 and len(generators) == 15
+    assert len(calls) == 15 * 15
+
+
+def test_groups_sharing_a_generator_violate_disjointness():
+    inst = catalog.make("fermat_quartic")
+    ctx = inst.context
+    rec = classify_point(inst.curve.form, ProjPoint.from_ints(ctx, (1, 0, 0)))
+    assert rec.is_quasi_galois
+    other = ProjPoint.from_ints(ctx, (0, 1, 0))
+    impostor = PointRecord(other, False, 4, rec.order, rec.generator, None)
+    with pytest.raises(InvariantViolation):
+        _assert_groups_disjoint({rec.point: rec, other: impostor})
 
 
 def test_pair_and_triple_counts_on_full_entries(evaluations):
