@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -127,7 +128,6 @@ def _load_seeds(path, context):
 
 def _render_report_text(report):
     lines = []
-    field = report.records and next(iter(report.records.values()))
     lines.append("degree %d" % report.degree)
     lines.append(
         "δ′: "
@@ -274,6 +274,12 @@ def _cmd_closure(args):
 
 
 def _cmd_oracle_census(args):
+    if args.starts < 0:
+        raise SchemaError("--starts", "must be a nonnegative integer")
+    if args.order < 2:
+        raise SchemaError("--order", "must be an integer >= 2")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SchemaError("--tol", "must be a positive finite number")
     curve = _load_curve(args)
     result = numeric_census(
         curve, args.order, starts=args.starts, tol=args.tol, seed=args.seed
@@ -319,7 +325,7 @@ def _verify_cases():
     return dict(sorted(cases.items()))
 
 
-def _case_summary(case_name, instance, evaluation):
+def _case_summary(instance, evaluation):
     if "fermat_equivalent" in instance.flags:
         return "exact coordinate change onto the pure fourth-power form"
     report = evaluation.report
@@ -392,7 +398,7 @@ def _run_case(case_name, spec, seed, with_oracle):
     return {
         "name": case_name,
         "passed": evaluation.passed,
-        "summary": _case_summary(case_name, instance, evaluation),
+        "summary": _case_summary(instance, evaluation),
         "checks": checks,
         "oracle": oracle_results,
         "warnings": warnings,

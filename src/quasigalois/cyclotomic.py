@@ -4,7 +4,9 @@ Elements are dense rational coordinate vectors over the power basis
 1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial.  Internally a
 vector is stored as integer numerators plus one positive common denominator,
 which keeps the hot paths (convolution + monic reduction) in machine/big-int
-arithmetic with a single gcd-normalization per operation.
+arithmetic with a single gcd-normalization per operation.  Inversion uses the
+same kernel: the inverse is the product of the nontrivial Galois conjugates
+sigma_k(e) (zeta -> zeta^k) divided by the rational norm.
 
 A context may carry one formal square root l with l^2 = c for a chosen base
 element c.  The quotient ring K[l]/(l^2 - c) is used without deciding whether
@@ -20,7 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import RootOfUnityUnavailable, ZeroDivisorEncountered
+from .errors import (
+    InvariantViolation,
+    RootOfUnityUnavailable,
+    ZeroDivisorEncountered,
+)
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense, low-to-high coefficient lists)
@@ -511,75 +517,45 @@ class FieldElement:
         return " + ".join(names) if names else "0"
 
 
+def _conjugate(e, k):
+    """sigma_k(e) for the automorphism zeta -> zeta^k, gcd(k, N) = 1 (plain
+    cyclotomic elements only).
+
+    Coefficient i moves to index i*k mod N (zeta^N = 1); reducing the
+    length-N vector modulo Phi_N returns to the power basis.
+    """
+    ctx = e.context
+    N = ctx.conductor
+    vec = [0] * N
+    for i, c in enumerate(e.nums):
+        vec[i * k % N] += c
+    return _make(ctx, tuple(_reduce_mod(vec, ctx.modulus)), e.den)
+
+
 def _inv_base(e):
-    """Inverse in the plain cyclotomic field via extended Euclid over Q."""
+    """Inverse in the plain cyclotomic field: conjugate product over the norm.
+
+    With rest = prod of sigma_k(e) over the Galois group minus the identity,
+    e * rest is the norm of e, a nonzero rational, so e^-1 = rest / norm.
+    """
     if e.is_zero():
         raise ZeroDivisionError("inverse of zero")
-    if e.context.lambda_sq is not None:
+    ctx = e.context
+    if ctx.lambda_sq is not None:
         raise ValueError("_inv_base expects a plain cyclotomic element")
     if e.is_rational():
-        q = 1 / e.as_rational()
-        return e.context.from_rational(q)
-    # run over Fractions; moduli are small so this is not a hot path
-    a = [Fraction(c, e.den) for c in e.nums]
-    while a and a[-1] == 0:
-        a.pop()
-    mod = [Fraction(c) for c in e.context.modulus]
-    s = _poly_modinv_frac(a, mod)
-    den = 1
-    for q in s:
-        den = den * q.denominator // gcd(den, q.denominator)
-    nums = [int(q * den) for q in s]
-    nums += [0] * (e.context.degree - len(nums))
-    return _make(e.context, tuple(nums), den)
-
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return q, _fp_trim(a[:db])
-
-
-def _poly_modinv_frac(a, mod):
-    """s with s*a = 1 (mod mod), over Fractions; mod irreducible over Q."""
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _fp_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s_new = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    if y:
-                        prod[i + j] += x * y
-        ln = max(len(s0), len(prod))
-        s_new = [
-            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-            for i in range(ln)
-        ]
-        s0, s1 = s1, _fp_trim(s_new)
-    # r0 is the gcd; must be a nonzero constant since mod is irreducible
-    if len(r0) != 1:
-        raise ArithmeticError("modulus not irreducible or element not invertible")
-    c = r0[0]
-    _, s0 = _fp_divmod([x / c for x in s0], mod)
-    return s0
+        return ctx.from_rational(1 / e.as_rational())
+    N = ctx.conductor
+    rest = ctx.one()
+    for k in range(2, N):
+        if gcd(k, N) == 1:
+            rest = rest * _conjugate(e, k)
+    norm = e * rest
+    if not norm.is_rational():
+        raise InvariantViolation("the norm of a field element is rational")
+    # rest / (p/q) = (rest.nums * q) / (rest.den * p)
+    p, q = norm.nums[0], norm.den
+    return _make(ctx, tuple(c * q for c in rest.nums), rest.den * p)
 
 
 def multiplicative_order(e, cap=2048):

@@ -539,7 +539,7 @@ def line_profile(form, line):
         raise LineContainedInCurve("the line lies entirely on the curve")
     ctx = form.context
     d = form.degree
-    chart = UniPoly(ctx, coeffs)  # variable t; point (0:1) is at infinity ... no:
+    chart = UniPoly(ctx, coeffs)
     # coeffs[m] multiplies s^(d-m) t^m, so as a polynomial in t (chart s = 1)
     # the degree deficiency d - deg counts the multiplicity at (0:1) = S2.
     mults = []

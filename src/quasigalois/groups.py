@@ -70,9 +70,8 @@ def _raw_apply(matrix, coords):
     ]
 
 
-def _line_coordinates(line, vec):
-    """Coordinates of a raw vector in the spanning-point basis of the line."""
-    s1, s2 = line.spanning_points()
+def _line_coordinates(line, s1, s2, vec):
+    """Coordinates of a raw vector in the basis s1, s2 of the line's points."""
     j = next(i for i, c in enumerate(line.coeffs) if not c.is_zero())
     k1, k2 = [i for i in range(3) if i != j]
     s, t = vec[k1], vec[k2]
@@ -88,8 +87,8 @@ def restrict_to_line(matrix, line):
     The result is well defined up to the scalar class of `matrix`.
     """
     s1, s2 = line.spanning_points()
-    a, b = _line_coordinates(line, _raw_apply(matrix, s1.coords))
-    c, d = _line_coordinates(line, _raw_apply(matrix, s2.coords))
+    a, b = _line_coordinates(line, s1, s2, _raw_apply(matrix, s1.coords))
+    c, d = _line_coordinates(line, s1, s2, _raw_apply(matrix, s2.coords))
     # M(s*S1 + t*S2) = (a*s + c*t) S1 + (b*s + d*t) S2
     return ((a, c), (b, d))
 

@@ -165,8 +165,8 @@ def solve_homology(form, point, zeta, order=None):
     )
     if G.pullback(m_local) != G.scale(zeta ** m):
         return None
-    matrix = B * m_local * B.inverse()
     binv = B.inverse()
+    matrix = B * m_local * binv
     v = (zeta - one, b, c)
     axis_coeffs = [
         v[0] * binv.rows[0][j] + v[1] * binv.rows[1][j] + v[2] * binv.rows[2][j]

@@ -24,6 +24,7 @@ from quasigalois import (
 )
 from quasigalois import catalog
 from quasigalois.census import _assert_groups_disjoint
+from quasigalois.cyclotomic import _conjugate
 from quasigalois.serialize import sorted_records
 
 
@@ -265,3 +266,37 @@ def test_inner_points_are_tallied_separately():
     assert report.delta_prime.get(3, 0) == 0 or p not in {
         r.point for r in report.records.values() if r.kind == "outer"
     }
+
+
+def _tallies(report):
+    return (
+        report.delta,
+        report.delta_prime,
+        len(report.pairs),
+        len(report.triples),
+        report.certification,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params, form_moves",
+    [
+        ("fermat_quartic", {}, False),
+        ("quartic_symmetric", {"a": FieldContext(8).zeta() + 1}, True),
+    ],
+)
+def test_census_is_invariant_under_galois_conjugation(name, params, form_moves):
+    # sigma_k maps the curve F = 0 and its quasi-Galois points onto the
+    # conjugate curve and its points, so every tally must be unchanged.
+    inst = catalog.make(name, **params)
+    ctx = inst.context
+    form = inst.curve.form
+    expected = _tallies(census(inst.curve, inst.seeds))
+    for k in (3, 5, 7):
+        terms = {e: _conjugate(c, k) for e, c in form.terms.items()}
+        assert (terms != form.terms) == form_moves
+        conjugate = PlaneCurve(HomoPoly(ctx, form.degree, terms))
+        seeds = [
+            ProjPoint(ctx, [_conjugate(c, k) for c in p.coords]) for p in inst.seeds
+        ]
+        assert _tallies(census(conjugate, seeds)) == expected

@@ -224,6 +224,28 @@ def test_oracle_census_command(fermat_file, capsys):
     assert len(data["centers"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--starts", "-1"),
+        ("--order", "1"),
+        ("--order", "-3"),
+        ("--tol", "0"),
+        ("--tol", "-1e-9"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+    ],
+)
+def test_oracle_census_rejects_bad_arguments(fermat_file, capsys, flag, value):
+    args = {"--order": "4", "--starts": "10", "--tol": "1e-9"}
+    args[flag] = value
+    argv = ["oracle-census", "--curve", fermat_file, "--format", "json"]
+    argv += ["%s=%s" % item for item in args.items()]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"] == flag
+
+
 def test_verify_paper_list(capsys):
     assert main(["verify-paper", "--list"]) == 0
     out = capsys.readouterr().out

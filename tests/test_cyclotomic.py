@@ -1,5 +1,6 @@
 """Exact cyclotomic field arithmetic: axioms, roots of unity, extensions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from quasigalois import (
     euler_phi,
     multiplicative_order,
 )
+from quasigalois.cyclotomic import _conjugate
 
-CONDUCTORS = (3, 4, 5, 8, 12, 24)
+CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
 
 
 def random_element(ctx, rng):
@@ -199,3 +201,19 @@ def test_multiplicative_order_returns_none_for_non_roots():
     ctx = FieldContext(4)
     assert multiplicative_order(ctx.from_int(2), cap=64) is None
     assert multiplicative_order(ctx.zero(), cap=64) is None
+
+
+def test_galois_conjugation_is_a_ring_map_fixing_the_rationals():
+    rng = random.Random(31)
+    for conductor in CONDUCTORS:
+        ctx = FieldContext(conductor)
+        z = ctx.zeta()
+        units = [k for k in range(1, conductor) if math.gcd(k, conductor) == 1]
+        for k in units:
+            assert _conjugate(z, k) == z ** k
+            assert _conjugate(ctx.from_rational(Fraction(-7, 3)), k) == Fraction(-7, 3)
+            for _ in range(3):
+                a = random_element(ctx, rng)
+                b = random_element(ctx, rng)
+                assert _conjugate(a + b, k) == _conjugate(a, k) + _conjugate(b, k)
+                assert _conjugate(a * b, k) == _conjugate(a, k) * _conjugate(b, k)
