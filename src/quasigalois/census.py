@@ -109,6 +109,11 @@ def make_pair(rec1, rec2):
     """
     if not is_mutual_pair(rec1, rec2):
         raise NotAGPair("the generators do not fix each other's center")
+    return _pair_info(rec1, rec2)
+
+
+def _pair_info(rec1, rec2):
+    """The PairInfo of two records already known to form a mutual pair."""
     a1, a2 = rec1.generator.axis, rec2.generator.axis
     if a1 == a2:
         raise InvariantViolation("the axes of a mutual pair are distinct")
@@ -123,7 +128,7 @@ def build_pair_graph(records):
     for i in range(len(qg)):
         for j in range(i + 1, len(qg)):
             if is_mutual_pair(qg[i], qg[j]):
-                pairs.append(make_pair(qg[i], qg[j]))
+                pairs.append(_pair_info(qg[i], qg[j]))
     return pairs
 
 
@@ -234,9 +239,6 @@ class CensusReport:
         self.certification = cert
         self.certification_bound = bound
         self.certification_attained = attained
-
-    def outer_at_least(self, n):
-        return sum(c for k, c in self.delta_prime.items() if k >= n)
 
     def quasi_galois_points(self):
         return [r for r in self.records.values() if r.is_quasi_galois]

@@ -163,6 +163,8 @@ def _render_report_text(report):
 
 
 def _cmd_analyze(args):
+    if args.cap < 1:
+        raise SchemaError("--cap", "must be a positive integer")
     curve = _load_curve(args)
     if args.seeds:
         seeds = _load_seeds(args.seeds, curve.form.context)
@@ -238,6 +240,8 @@ def _cmd_profile(args):
 
 
 def _cmd_closure(args):
+    if args.cap < 1:
+        raise SchemaError("--cap", "must be a positive integer")
     curve = _load_curve(args)
     generators = generators_from_json(
         _load_json(args.generators), max_conductor=_max_conductor()
@@ -274,6 +278,8 @@ def _cmd_closure(args):
 
 
 def _cmd_oracle_census(args):
+    if args.seed < 0:
+        raise SchemaError("--seed", "must be a nonnegative integer")
     if args.starts < 0:
         raise SchemaError("--starts", "must be a nonnegative integer")
     if args.order < 2:
@@ -416,6 +422,8 @@ def _jsonable(value):
 
 
 def _cmd_verify_paper(args):
+    if args.seed < 0:
+        raise SchemaError("--seed", "must be a nonnegative integer")
     cases = _verify_cases()
     if args.list:
         for name in cases:

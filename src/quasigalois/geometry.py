@@ -251,12 +251,6 @@ class ProjMatrix:
             self.context, [[c * inv for c in row] for row in adj.rows]
         )
 
-    def transpose(self):
-        r = self.rows
-        return ProjMatrix(
-            self.context, [[r[j][i] for j in range(3)] for i in range(3)]
-        )
-
     def apply_to_point(self, point):
         r = self.rows
         x = point.coords
@@ -387,17 +381,6 @@ class HomoPoly:
         return HomoPoly(self.context, self.degree + other.degree, out)
 
     __rmul__ = __mul__
-
-    def power(self, k):
-        ctx = self.context
-        result = HomoPoly(ctx, 0, {(0, 0, 0): ctx.one()})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def evaluate(self, point):
         """Value at a point (depends on the chosen representative's scaling)."""
@@ -566,36 +549,31 @@ def tangent_line(form, point):
 class PlaneCurve:
     """A smooth plane curve: a ternary form validated to have no singular points.
 
-    Construction runs the exact smoothness decision procedure and raises
-    NotSmooth when the form has a singular point over the algebraic closure.
-    Pass check_smooth=False to skip the gate (e.g. for known-smooth pullbacks).
+    Construction runs the exact smoothness decision (smoothness.is_smooth) and
+    raises NotSmooth when the form has a singular point over the algebraic
+    closure.
     """
 
     __slots__ = ("form", "context", "degree")
 
-    def __init__(self, form, check_smooth=True):
+    def __init__(self, form):
         if form.is_zero() or form.degree < 4:
             raise ValueError(
                 "a plane curve needs a nonzero form of degree >= 4 "
                 "(below that, automorphisms need not be linear)"
             )
-        if check_smooth:
-            from .smoothness import is_smooth
+        from .smoothness import is_smooth
 
-            if not is_smooth(form):
-                raise NotSmooth(
-                    "the form has a singular point over the algebraic closure"
-                )
+        if not is_smooth(form):
+            raise NotSmooth(
+                "the form has a singular point over the algebraic closure"
+            )
         self.form = form
         self.context = form.context
         self.degree = form.degree
 
     def contains(self, point):
         return self.form.vanishes_at(point)
-
-    def require_contains(self, point):
-        if not self.contains(point):
-            raise PointNotOnCurve("the point does not lie on the curve")
 
     def tangent_line(self, point):
         return tangent_line(self.form, point)
@@ -605,10 +583,6 @@ class PlaneCurve:
 
     def intersection_multiplicity(self, line, point):
         return intersection_multiplicity(self.form, line, point)
-
-    def transform(self, matrix, check_smooth=False):
-        """The curve with form F(M x); smooth whenever the source is."""
-        return PlaneCurve(self.form.pullback(matrix), check_smooth=check_smooth)
 
     def __repr__(self):
         return "PlaneCurve(%r)" % (self.form,)

@@ -84,9 +84,6 @@ class UniPoly:
             [self.coeffs[i] * ctx.from_int(i) for i in range(1, len(self.coeffs))],
         )
 
-    def map_coeffs(self, fn, context=None):
-        return UniPoly(context or self.context, [fn(c) for c in self.coeffs])
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):

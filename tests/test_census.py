@@ -23,7 +23,7 @@ from quasigalois import (
     orbit_expand,
 )
 from quasigalois import catalog
-from quasigalois.census import _assert_groups_disjoint
+from quasigalois.census import _assert_groups_disjoint, build_pair_graph
 from quasigalois.cyclotomic import _conjugate
 from quasigalois.serialize import sorted_records
 
@@ -115,6 +115,25 @@ def test_orbit_expand_applies_each_generator_to_each_point_once(monkeypatch):
     generators = [r for r in expanded.values() if r.is_quasi_galois]
     assert len(expanded) == 15 and len(generators) == 15
     assert len(calls) == 15 * 15
+
+
+def test_pair_graph_tests_each_pair_once(monkeypatch):
+    inst = catalog.make("fermat_quartic")
+    ctx = inst.context
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+    records = orbit_expand(inst.curve.form, seeds)
+    original = ProjMatrix.apply_to_point
+    calls = []
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(ProjMatrix, "apply_to_point", counting)
+    pairs = build_pair_graph(records)
+    assert len(records) == 15 and len(pairs) == 21
+    # is_mutual_pair makes two point images per pair, and no pair is tested twice
+    assert len(calls) == 2 * (15 * 14 // 2)
 
 
 def test_groups_sharing_a_generator_violate_disjointness():

@@ -234,6 +234,7 @@ def test_oracle_census_command(fermat_file, capsys):
         ("--tol", "-1e-9"),
         ("--tol", "nan"),
         ("--tol", "inf"),
+        ("--seed", "-1"),
     ],
 )
 def test_oracle_census_rejects_bad_arguments(fermat_file, capsys, flag, value):
@@ -242,6 +243,33 @@ def test_oracle_census_rejects_bad_arguments(fermat_file, capsys, flag, value):
     argv = ["oracle-census", "--curve", fermat_file, "--format", "json"]
     argv += ["%s=%s" % item for item in args.items()]
     assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"] == flag
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--cap", "0"),
+        ("analyze", "--cap", "-5"),
+        ("closure", "--cap", "0"),
+        ("closure", "--cap", "-5"),
+        ("verify-paper", "--seed", "-1"),
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(
+    fermat_file, tmp_path, capsys, command, flag, value
+):
+    from quasigalois import ProjMatrix
+
+    ctx = catalog.make("fermat_quartic").context
+    gpath = generator_file(tmp_path, [ProjMatrix.identity(ctx)])
+    argv = {
+        "analyze": ["analyze", "--curve", fermat_file],
+        "closure": ["closure", "--curve", fermat_file, "--generators", gpath],
+        "verify-paper": ["verify-paper", "--case", "fermat_quartic", "--no-oracle"],
+    }[command]
+    assert main(argv + ["--format", "json", "%s=%s" % (flag, value)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["path"] == flag
 
