@@ -639,14 +639,15 @@ def evaluate(instance, point_cap=10000, group_cap=1000):
         _add_check(checks, "triple_count", exp["triple_count"], len(report.triples))
 
     groups = {}
+    curve = instance.curve
     gens3 = [r.generator.matrix for r in qg if r.order % 3 == 0]
     if "g3_closure_order" in exp:
-        groups["g3"] = group_closure(gens3, cap=group_cap)
+        groups["g3"] = group_closure(gens3, cap=group_cap, curve=curve)
         if exp["g3_closure_order"] is not None:
             _add_check(checks, "g3_closure_order", exp["g3_closure_order"], len(groups["g3"]))
     if "generator_closure_order" in exp:
         groups["generators"] = group_closure(
-            [r.generator.matrix for r in qg], cap=group_cap
+            [r.generator.matrix for r in qg], cap=group_cap, curve=curve
         )
         if exp["generator_closure_order"] is not None:
             _add_check(
@@ -657,7 +658,9 @@ def evaluate(instance, point_cap=10000, group_cap=1000):
             )
     if "aut_closure_order" in exp:
         groups["aut"] = group_closure(
-            gens3 + [instance.extras["swap_automorphism"]], cap=group_cap
+            gens3 + [instance.extras["swap_automorphism"]],
+            cap=group_cap,
+            curve=curve,
         )
         _add_check(checks, "aut_closure_order", exp["aut_closure_order"], len(groups["aut"]))
 

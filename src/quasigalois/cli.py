@@ -246,18 +246,13 @@ def _cmd_closure(args):
     generators = generators_from_json(
         _load_json(args.generators), max_conductor=_max_conductor()
     )
-    form = curve.form
     for i, matrix in enumerate(generators):
-        if not matrix.context.compatible(form.context):
+        if not matrix.context.compatible(curve.context):
             raise SchemaError(
                 "generators.matrices[%d]" % i,
                 "matrix field does not match the curve field",
             )
-        if not form.pullback(matrix).proportional_to(form):
-            raise QuasiGaloisError(
-                "generator %d does not preserve the curve" % i
-            )
-    group = group_closure(generators, cap=args.cap)
+    group = group_closure(generators, cap=args.cap, curve=curve)
     summary = group_to_json(group)
     if args.format == "json":
         _print_json(summary)

@@ -86,6 +86,10 @@ class LineNotPreserved(QuasiGaloisError):
     """A projective transformation does not map the given line to itself."""
 
 
+class CurveNotPreserved(QuasiGaloisError):
+    """A projective transformation does not map the given curve to itself."""
+
+
 class NotAHomology(QuasiGaloisError):
     """Matrix is not a central collineation (eigenvalues not (a, b, b) with
     a != b, or not diagonalizable, or not of finite projective order)."""

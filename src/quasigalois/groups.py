@@ -2,7 +2,13 @@
 
 Closures are computed by breadth-first multiplication with deduplication up
 to scalar (projective equality); a finite set of invertible matrices closed
-under multiplication is automatically a group.  When every generator
+under multiplication is automatically a group.  Given the smooth plane curve
+the generators preserve (checked by one exact pullback each), the group is
+finite, and over a plain cyclotomic field the closure deduplicates on the
+matrices' reductions mod a prime above a split prime (see ``modular``), so
+only the |G| - 1 new elements cost an exact product.  Without a curve, or
+over a quadratic extension, deduplication uses exact canonical keys, and an
+infinite group still exceeds the cap.  When every generator
 preserves a line, the restriction to that line in the coordinates of its two
 canonical spanning points is a 2x2 matrix, well defined up to scalar; the
 induced map is a group homomorphism, and its kernel size, image size and the
@@ -13,15 +19,33 @@ symmetric groups on four letters).
 
 from __future__ import annotations
 
-from .errors import ClosureCapExceeded, InvariantViolation, LineNotPreserved
+from .errors import (
+    ClosureCapExceeded,
+    CurveNotPreserved,
+    InvariantViolation,
+    LineNotPreserved,
+)
 from .geometry import ProjMatrix, _canonicalize
+from .modular import choose_prime
 
 
-def group_closure(generators, cap=1000):
-    """All products of the generators (a finite group), BFS order, with cap."""
+def group_closure(generators, cap=1000, curve=None):
+    """All products of the generators (a finite group), BFS order, with cap.
+
+    With a smooth plane ``curve`` every generator must preserve it (else
+    CurveNotPreserved), which makes the group finite; over a plain cyclotomic
+    field the closure then deduplicates on fingerprints mod a prime.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     ctx = generators[0].context
+    if curve is not None:
+        form = curve.form
+        for i, g in enumerate(generators):
+            if not form.pullback(g).proportional_to(form):
+                raise CurveNotPreserved("generator %d does not preserve the curve" % i)
+        if ctx.lambda_sq is None:
+            return _fingerprint_closure(generators, cap)
     identity = ProjMatrix.identity(ctx)
     elements = [identity]
     seen = {identity.canonical_key()}
@@ -34,6 +58,31 @@ def group_closure(generators, cap=1000):
                     raise ClosureCapExceeded(cap)
                 seen.add(key)
                 elements.append(nm)
+    return elements
+
+
+def _fingerprint_closure(generators, cap):
+    """The BFS of group_closure keyed by reduction mod a prime (modular.py).
+
+    The reduction is injective on a finite group, so the keys separate
+    exactly the elements that exact canonical keys separate, and an exact
+    product is formed only for a new element.
+    """
+    red = choose_prime(generators)
+    gen_prints = [red.fingerprint(g) for g in generators]
+    identity = ProjMatrix.identity(generators[0].context)
+    elements = [identity]
+    prints = [red.fingerprint(identity)]
+    seen = set(prints)
+    for k, m in enumerate(elements):  # grows while it is iterated
+        for g, fg in zip(generators, gen_prints):
+            key = red.product(fg, prints[k])
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(cap)
+                seen.add(key)
+                elements.append(g * m)
+                prints.append(key)
     return elements
 
 

@@ -1,8 +1,8 @@
 """Dense univariate polynomials over a FieldContext.
 
 Coefficients are FieldElements, stored low-to-high with no trailing zeros.
-Provides Euclidean division, gcd/xgcd, a subresultant-free Euclidean
-resultant, and Yun's squarefree decomposition (valid in characteristic 0).
+Provides Euclidean division, the monic gcd, and Yun's squarefree
+decomposition (valid in characteristic 0).
 """
 
 from __future__ import annotations
@@ -208,68 +208,6 @@ def poly_gcd(f, g):
     return f.monic()
 
 
-def poly_xgcd(f, g):
-    """(d, s, t) with d = s*f + t*g, d the monic gcd."""
-    ctx = f.context
-    one = UniPoly.constant(ctx, ctx.one())
-    zero = UniPoly.zero(ctx)
-    r0, r1 = f, g
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = r0.leading().inverse()
-    return r0.monic(), s0 * inv, t0 * inv
-
-
-def resultant(f, g):
-    """Resultant of f and g via the Euclidean remainder sequence.
-
-    Uses res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - deg r) * res(g, r)
-    with r = f mod g, and the base cases res(f, c) = c^deg(f) for constant c
-    and res(f, 0) = 0 (deg f > 0).  Exact over any field.
-    """
-    ctx = f.context
-    acc = ctx.one()
-    while True:
-        if f.is_zero() or g.is_zero():
-            if f.is_constant() and g.is_constant() and not (f.is_zero() and g.is_zero()):
-                return acc  # res of two constants (not both zero) is 1
-            return ctx.zero()
-        if g.is_constant():
-            return acc * g.coeffs[0] ** f.degree()
-        if f.is_constant():
-            return acc * f.coeffs[0] ** g.degree()
-        if f.degree() < g.degree():
-            if (f.degree() * g.degree()) % 2 == 1:
-                acc = -acc
-            f, g = g, f
-            continue
-        r = f % g
-        dr = -1 if r.is_zero() else r.degree()
-        if (f.degree() * g.degree()) % 2 == 1:
-            acc = -acc
-        if r.is_zero():
-            return ctx.zero()
-        acc = acc * g.leading() ** (f.degree() - dr)
-        f, g = g, r
-
-
-def discriminant(f):
-    """disc(f) = (-1)^(d(d-1)/2) * res(f, f') / lc(f)."""
-    d = f.degree()
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    r = resultant(f, f.derivative())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * r * f.leading().inverse()
-
-
 def squarefree_decomposition(f):
     """Yun's algorithm: list of (factor, multiplicity), factors monic squarefree.
 
@@ -296,13 +234,3 @@ def squarefree_decomposition(f):
         c = d.exact_div(piece)
         i += 1
     return out
-
-
-def squarefree_part(f):
-    """Product of the distinct monic irreducible factors of f."""
-    parts = squarefree_decomposition(f)
-    ctx = f.context
-    acc = UniPoly.constant(ctx, ctx.one())
-    for piece, _ in parts:
-        acc = acc * piece
-    return acc

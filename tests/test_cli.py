@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, diagnostics."""
 
+import hashlib
 import json
 
 import pytest
@@ -204,6 +205,16 @@ def test_closure_respects_cap(fermat_file, tmp_path, capsys):
     ) == 1
 
 
+def test_closure_rejects_generator_not_preserving_the_curve(fermat_file, tmp_path, capsys):
+    ctx = catalog.make("fermat_quartic").context
+    from quasigalois import ProjMatrix
+
+    shear = ProjMatrix.from_ints(ctx, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    gpath = generator_file(tmp_path, [ProjMatrix.identity(ctx), shear])
+    assert main(["closure", "--curve", fermat_file, "--generators", gpath]) == 1
+    assert "generator 1 does not preserve the curve" in capsys.readouterr().err
+
+
 def test_oracle_census_command(fermat_file, capsys):
     assert main(
         [
@@ -320,3 +331,12 @@ def test_conductor_ceiling_from_environment(fermat_file, monkeypatch, capsys):
 def test_invalid_conductor_ceiling_is_reported(fermat_file, monkeypatch):
     monkeypatch.setenv("QGP_MAX_CONDUCTOR", "many")
     assert main(["smooth", "--curve", fermat_file]) == 2
+
+
+def test_verify_paper_json_digest_is_unchanged(capsys):
+    assert main(["verify-paper", "--no-oracle", "--format", "json", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "c0f017e6cf49d97d3de1c2ccfd62f5dee8cb9acb1fc16fabc66f8609a013837e"
+    )

@@ -4,6 +4,7 @@ import pytest
 
 from quasigalois import (
     ClosureCapExceeded,
+    CurveNotPreserved,
     FieldContext,
     LineNotPreserved,
     ProjLine,
@@ -13,6 +14,7 @@ from quasigalois import (
     order_histogram,
     projective_order,
 )
+from quasigalois import catalog, groups
 
 
 def diag(ctx, *entries):
@@ -130,3 +132,66 @@ def test_octahedral_and_tetrahedral_line_actions(evaluations):
     assert small.histogram == {1: 1, 2: 3, 3: 8}
     assert (big.kernel_order, big.image_order) == (6, 24)
     assert big.histogram == {1: 1, 2: 9, 3: 8, 4: 6}
+
+
+def _catalog_closures(evaluations):
+    """(name, group key, generators, curve) for every closure evaluate makes."""
+    for name, ev in sorted(evaluations.items()):
+        if ev.report is None:
+            continue
+        qg = ev.report.quasi_galois_points()
+        gens3 = [r.generator.matrix for r in qg if r.order % 3 == 0]
+        sets = {"g3": gens3, "generators": [r.generator.matrix for r in qg]}
+        if "aut" in ev.groups:
+            sets["aut"] = gens3 + [ev.instance.extras["swap_automorphism"]]
+        for key in ev.groups:
+            yield name, key, sets[key], ev.instance.curve
+
+
+def test_fingerprint_closure_equals_exact_closure_on_catalog(evaluations):
+    closures = list(_catalog_closures(evaluations))
+    assert len(closures) == 11
+    for name, key, gens, curve in closures:
+        fast = group_closure(gens, curve=curve)
+        exact = group_closure(gens)
+        assert len(fast) == len(exact), (name, key)
+        assert all(a == b for a, b in zip(fast, exact)), (name, key)
+        assert all(a == b for a, b in zip(evaluations[name].groups[key], exact))
+
+
+def test_infinite_group_without_curve_exceeds_cap():
+    ctx = FieldContext(3)
+    shear = ProjMatrix.from_ints(ctx, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ClosureCapExceeded):
+        group_closure([shear])
+
+
+def test_generator_not_preserving_the_curve_is_rejected(instances):
+    curve = instances["fermat_quartic"].curve
+    ctx = curve.context
+    i4 = ctx.root_of_unity(4)
+    one = ctx.one()
+    shear = ProjMatrix.from_ints(ctx, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(CurveNotPreserved, match="generator 1 does not preserve"):
+        group_closure([diag(ctx, i4, one, one), shear], curve=curve)
+
+
+def test_quadratic_extension_keeps_exact_keys(monkeypatch):
+    special = catalog.make("quartic_xy", a=6)  # Q(zeta_8)[l], l^2 = 2*sqrt(2)
+    ctx = special.context
+    t = special.extras["fermat_transform"]  # F(t x) = 8 * (X^4 + Y^4 + Z^4)
+    t_inv = t.inverse()
+    one = ctx.one()
+    i4 = ctx.embed(ctx.base.root_of_unity(4))
+    cycle = ProjMatrix.from_ints(ctx, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    gens = [t * m * t_inv for m in (diag(ctx, i4, one, one), cycle)]
+    exact = group_closure(gens)
+
+    def no_reduction(matrices):
+        raise AssertionError("a quadratic extension must not be reduced mod p")
+
+    monkeypatch.setattr(groups, "choose_prime", no_reduction)
+    with_curve = group_closure(gens, curve=special.curve)
+    assert len(exact) == 48
+    assert len(with_curve) == len(exact)
+    assert all(a == b for a, b in zip(with_curve, exact))

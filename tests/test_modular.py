@@ -1,0 +1,85 @@
+"""Reduction modulo a prime above a split prime: ring map and prime choice."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from quasigalois import FieldContext, ProjMatrix
+from quasigalois.modular import Reduction, choose_prime
+
+CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
+
+# least prime p > 3 with p = 1 (mod N)
+LEAST_SPLIT_PRIME = {3: 7, 4: 5, 5: 11, 8: 17, 12: 13, 24: 73, 7: 29, 9: 19, 15: 31, 28: 29}
+
+
+def random_element(ctx, rng):
+    # denominators 1..4 are prime to every p > 3
+    coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ctx.dim)]
+    return ctx.from_coords(coords)
+
+
+def random_matrix(ctx, rng):
+    return ProjMatrix(ctx, [[random_element(ctx, rng) for _ in range(3)] for _ in range(3)])
+
+
+def test_reduction_is_a_ring_map_sending_zeta_to_order_n():
+    rng = random.Random(20261018)
+    for conductor in CONDUCTORS:
+        ctx = FieldContext(conductor)
+        red = choose_prime([ProjMatrix.identity(ctx)])
+        p = red.p
+        r = red.element(ctx.zeta())
+        assert r == red.root
+        assert [k for k in range(1, conductor + 1) if pow(r, k, p) == 1] == [conductor]
+        assert red.element(ctx.from_rational(Fraction(-7, 3))) == -7 * pow(3, -1, p) % p
+        for _ in range(20):
+            a = random_element(ctx, rng)
+            b = random_element(ctx, rng)
+            assert red.element(a + b) == (red.element(a) + red.element(b)) % p
+            assert red.element(a * b) == red.element(a) * red.element(b) % p
+
+
+def test_fingerprints_are_projective_and_multiplicative():
+    rng = random.Random(7)
+    for conductor in CONDUCTORS:
+        ctx = FieldContext(conductor)
+        a, b = random_matrix(ctx, rng), random_matrix(ctx, rng)
+        red = choose_prime([a, b])
+        fa, fb = red.fingerprint(a), red.fingerprint(b)
+        scaled = ProjMatrix(ctx, [[c * ctx.zeta() for c in row] for row in a.rows])
+        assert red.fingerprint(scaled) == fa
+        assert red.product(fa, fb) == red.fingerprint(a * b)
+        assert next(x for x in fa if x) == 1
+
+
+def test_prime_choice_is_least_and_deterministic():
+    for conductor in CONDUCTORS:
+        ctx = FieldContext(conductor)
+        red = choose_prime([ProjMatrix.identity(ctx)])
+        assert red.p == LEAST_SPLIT_PRIME[conductor]
+        assert (red.p - 1) % conductor == 0
+        again = choose_prime([ProjMatrix.identity(ctx)])
+        assert (again.p, again.root) == (red.p, red.root)
+
+
+def test_prime_choice_skips_bad_denominators_and_determinants():
+    ctx = FieldContext(28)
+    one, zero = ctx.one(), ctx.zero()
+    for corner in (ctx.from_rational(Fraction(1, 29)), ctx.from_int(29)):
+        m = ProjMatrix(ctx, [[corner, zero, zero], [zero, one, zero], [zero, zero, one]])
+        assert choose_prime([m]).p == 113  # 29 is excluded; 57 and 85 are composite
+
+
+def test_reduction_rejects_bad_primes_and_denominators():
+    with pytest.raises(ValueError):
+        Reduction(4, 3)
+    with pytest.raises(ValueError):
+        Reduction(4, 7)  # 7 != 1 (mod 4)
+    ctx = FieldContext(4)
+    with pytest.raises(ZeroDivisionError):
+        Reduction(4, 5).element(ctx.from_rational(Fraction(1, 5)))
+    singular = ProjMatrix.from_ints(ctx, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        choose_prime([singular])

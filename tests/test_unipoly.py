@@ -4,15 +4,7 @@ import random
 from fractions import Fraction
 
 from quasigalois import FieldContext
-from quasigalois.unipoly import (
-    UniPoly,
-    discriminant,
-    poly_gcd,
-    poly_xgcd,
-    resultant,
-    squarefree_decomposition,
-    squarefree_part,
-)
+from quasigalois.unipoly import UniPoly, poly_gcd, squarefree_decomposition
 
 
 def random_poly(ctx, rng, degree):
@@ -70,55 +62,6 @@ def test_gcd_divides_both_inputs():
         assert (g % d).is_zero()
 
 
-def test_xgcd_bezout_identity():
-    rng = random.Random(8128)
-    ctx = FieldContext(5)
-    for _ in range(20):
-        f = random_poly(ctx, rng, rng.randint(1, 4))
-        g = random_poly(ctx, rng, rng.randint(1, 4))
-        d, u, v = poly_xgcd(f, g)
-        assert u * f + v * g == d
-        assert d == poly_gcd(f, g)
-
-
-def test_resultant_multiplicative_in_first_argument():
-    rng = random.Random(2025)
-    ctx = FieldContext(8)
-    for _ in range(15):
-        f = random_poly(ctx, rng, rng.randint(1, 2))
-        g = random_poly(ctx, rng, rng.randint(1, 2))
-        h = random_poly(ctx, rng, rng.randint(1, 2))
-        assert resultant(f * g, h) == resultant(f, h) * resultant(g, h)
-
-
-def test_resultant_vanishes_iff_common_root():
-    ctx = FieldContext(4)
-    x = UniPoly.monomial(ctx, 1)
-    shared = x - ctx.from_int(3)
-    f = shared * (x - ctx.from_int(1))
-    g = shared * (x + ctx.from_int(2))
-    assert resultant(f, g).is_zero()
-    assert not resultant(x - ctx.from_int(1), x - ctx.from_int(2)).is_zero()
-
-
-def test_discriminant_of_monic_quadratic_is_root_difference_squared():
-    rng = random.Random(99)
-    ctx = FieldContext(5)
-    x = UniPoly.monomial(ctx, 1)
-    for _ in range(20):
-        a = ctx.from_int(rng.randint(-6, 6))
-        b = ctx.from_int(rng.randint(-6, 6))
-        f = (x - a) * (x - b)
-        assert discriminant(f) == (a - b) * (a - b)
-
-
-def test_discriminant_zero_iff_repeated_root():
-    ctx = FieldContext(4)
-    x = UniPoly.monomial(ctx, 1)
-    assert discriminant((x - ctx.from_int(2)) ** 2).is_zero()
-    assert not discriminant((x - ctx.from_int(2)) * (x + ctx.from_int(1))).is_zero()
-
-
 def test_squarefree_decomposition_recovers_multiplicities():
     rng = random.Random(555)
     ctx = FieldContext(8)
@@ -139,15 +82,6 @@ def test_squarefree_decomposition_recovers_multiplicities():
             seen[int(root.as_rational())] = mult
         assert rebuilt == f
         assert seen == expected
-
-
-def test_squarefree_part_strips_multiplicities():
-    ctx = FieldContext(5)
-    x = UniPoly.monomial(ctx, 1)
-    f = (x - ctx.from_int(1)) * (x - ctx.from_int(2)) ** 2 * (x - ctx.from_int(3)) ** 3
-    sf = squarefree_part(f)
-    expected = (x - ctx.from_int(1)) * (x - ctx.from_int(2)) * (x - ctx.from_int(3))
-    assert sf.monic() == expected.monic()
 
 
 def test_evaluate_and_derivative_are_compatible():
