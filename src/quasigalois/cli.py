@@ -19,7 +19,9 @@ diagnostics.  With ``--format json`` errors are emitted as JSON objects.
 
 The environment variable ``QGP_MAX_CONDUCTOR`` (default 10000) bounds the
 cyclotomic conductor accepted from input files, guarding against
-accidentally enormous fields.
+accidentally enormous fields.  ``--starts`` is at most 10^6 (the starts are
+drawn up front, 64 bytes each) and ``--cap`` at most 10^5; larger values are
+usage errors.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .serialize import (
 from .smoothness import is_smooth
 
 _DEFAULT_MAX_CONDUCTOR = 10000
+_MAX_STARTS = 10**6
+_MAX_CAP = 10**5
 
 # Extra multistart attempts for curves whose centers converge rarely.
 _ORACLE_STARTS = {"quartic_klein": 800, "sextic_delta4": 600}
@@ -162,9 +166,13 @@ def _render_report_text(report):
     return "\n".join(lines)
 
 
+def _check_cap(cap):
+    if not 1 <= cap <= _MAX_CAP:
+        raise SchemaError("--cap", "must be an integer from 1 to %d" % _MAX_CAP)
+
+
 def _cmd_analyze(args):
-    if args.cap < 1:
-        raise SchemaError("--cap", "must be a positive integer")
+    _check_cap(args.cap)
     curve = _load_curve(args)
     if args.seeds:
         seeds = _load_seeds(args.seeds, curve.form.context)
@@ -240,8 +248,7 @@ def _cmd_profile(args):
 
 
 def _cmd_closure(args):
-    if args.cap < 1:
-        raise SchemaError("--cap", "must be a positive integer")
+    _check_cap(args.cap)
     curve = _load_curve(args)
     generators = generators_from_json(
         _load_json(args.generators), max_conductor=_max_conductor()
@@ -275,8 +282,8 @@ def _cmd_closure(args):
 def _cmd_oracle_census(args):
     if args.seed < 0:
         raise SchemaError("--seed", "must be a nonnegative integer")
-    if args.starts < 0:
-        raise SchemaError("--starts", "must be a nonnegative integer")
+    if not 0 <= args.starts <= _MAX_STARTS:
+        raise SchemaError("--starts", "must be an integer from 0 to %d" % _MAX_STARTS)
     if args.order < 2:
         raise SchemaError("--order", "must be an integer >= 2")
     if not (math.isfinite(args.tol) and args.tol > 0):

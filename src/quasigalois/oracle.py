@@ -9,9 +9,17 @@ multiple of n is a sanity sweep, never a certificate: nothing guarantees the
 random starts reach every center, which is why the exact census remains the
 source of truth and the oracle only corroborates it.
 
+Each start is solved by MINPACK's lmder through ``scipy.optimize.leastsq``.
+One evaluation reads F and its three partials at the homology images of the
+samples from one gather of a power table, and keeps the gradient for the
+last point, where lmder next asks for the Jacobian.
+
 Determinism: all randomness flows from one integer seed; the starts are
-pre-generated up front and the results merged in a canonical order, so the
-outcome does not depend on scheduling.
+pre-generated up front and the results merged in a canonical order.  lmder
+itself is not bit-reproducible: its iterates depend on the memory alignment
+of its Jacobian buffer, so a start that ends within a few times ``tol`` can
+converge in one process and not in another, moving
+``diagnostics["converged"]`` by a start or two.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +163,6 @@ def _fubini_study(p, q):
     return math.sqrt(max(0.0, 1.0 - min(1.0, cos2)))
 
 
-def _homology_matrix(center, axis, zeta):
-    return np.eye(3, dtype=complex) + (zeta - 1.0) * np.outer(center, axis) / (
-        axis @ center
-    )
-
-
 def _proportionality_samples(degree, k):
     """k unit sample points whose degree-d evaluation map is well conditioned.
 
@@ -194,86 +196,111 @@ def _proportionality_samples(degree, k):
 
 
 class _Search:
-    """Shared data for one census run: curve, samples, gradient, fixed zeta."""
+    """Shared data for one census run: curve, samples, gradient, fixed zeta.
+
+    The evaluation rounds exactly as forming M = I + (zeta - 1) center
+    axis^T / (axis . center), y = samples M^T, and evaluating F and each
+    partial as its own NumericCurve; a differently rounded one moves the
+    starts that end near ``tol``.
+    """
 
     def __init__(self, num, n, seed, starts):
-        self.num = num
         self.zeta = cmath.exp(2j * cmath.pi / n)
         rng = np.random.default_rng(seed)
         k = (num.degree + 1) * (num.degree + 2) // 2 + 5
         self.samples = _proportionality_samples(num.degree, k)
         self.f_samples = num.evaluate_many(self.samples)
         self.f_norm2 = float((np.abs(self.f_samples) ** 2).sum())
-        self.partials = [_partial_curve(num, v) for v in range(3)]
+        self.eye = np.eye(3, dtype=complex)
+        # F and its three partials (the terms with x_v, x_v lowered by one)
+        # as column blocks of one gather from the flat power table, where
+        # y_v^e is column v * (d + 1) + e.
+        d, exps, coeffs = num.degree, num.exps, num.coeffs
+        blocks = [(exps, coeffs)]
+        for v in range(3):
+            keep = exps[:, v] > 0
+            lowered = exps[keep] - np.eye(3, dtype=np.int64)[v]
+            blocks.append((lowered, coeffs[keep] * exps[keep, v]))
+        columns = np.concatenate([e for e, _ in blocks]) + (d + 1) * np.arange(3)
+        self.gather = columns.T
+        ends = np.cumsum([0] + [len(c) for _, c in blocks])
+        self.terms = [(slice(a, b), c) for a, b, (_, c) in zip(ends, ends[1:], blocks)]
+        self.powers = np.arange(d + 1)
         # 8 real unknowns per start: real and imaginary parts of the two
         # free center coordinates and the two free axis coordinates (one
         # coordinate of each is pinned to 1 by the start's chart).
         self.starts = rng.normal(size=(starts, 8))
+        self.set_chart((0, 0))
 
-    def assemble(self, chart, params):
-        cx = params[:4] + 1j * params[4:]
+    def set_chart(self, chart):
         cp, cl = chart
-        center = np.insert(cx[:2], cp, 1.0 + 0j)
-        axis = np.insert(cx[2:4], cl, 1.0 + 0j)
-        return center, axis
-
-    def _degenerate(self, center, axis):
-        return abs(axis @ center) < 1e-9 * max(
-            1.0, float(np.abs(center).max() * np.abs(axis).max())
+        # the four free coordinates of center and axis, side by side
+        self.free = np.array(
+            [i for i in range(3) if i != cp] + [3 + i for i in range(3) if i != cl]
         )
+        self.memo_key = None
 
-    def residual(self, chart, params):
-        center, axis = self.assemble(chart, params)
-        if self._degenerate(center, axis):
-            return np.full(2 * len(self.samples), 1e3)
-        m = _homology_matrix(center, axis, self.zeta)
-        g = self.num.evaluate_many(self.samples @ m.T)
-        scale = np.vdot(self.f_samples, g) / self.f_norm2
-        r = g - scale * self.f_samples
-        return np.concatenate([r.real, r.imag])
+    def assemble(self, params):
+        both = np.ones(6, dtype=complex)
+        both[self.free] = params[:4] + 1j * params[4:]
+        return both[:3], both[3:]
 
-    def jacobian(self, chart, params):
+    def residual(self, params):
+        """The realified residual g - scale * F(samples), g = F(M samples)."""
+        key = params.tobytes()
+        if key == self.memo_key:
+            return self.memo_res
+        center, axis = self.assemble(params)
+        denom = axis @ center
+        k = len(self.samples)
+        size = max(1.0, float(np.abs(center).max() * np.abs(axis).max()))
+        if abs(denom) < 1e-9 * size:
+            self.memo = None
+            res = np.full(2 * k, 1e3)
+        else:
+            m = self.eye + (self.zeta - 1.0) * (center[:, None] * axis) / denom
+            y = self.samples @ m.T
+            table = (y[:, :, None] ** self.powers).reshape(k, -1)
+            g0, g1, g2 = self.gather
+            mono = table[:, g0] * table[:, g1] * table[:, g2]
+            # contiguous blocks: BLAS rounds a strided block differently
+            g, *grad = [np.ascontiguousarray(mono[:, b]) @ c for b, c in self.terms]
+            grad = np.stack(grad, axis=1)
+            self.memo = (center, axis, denom, grad)
+            scale = np.vdot(self.f_samples, g) / self.f_norm2
+            r = g - scale * self.f_samples
+            res = np.concatenate([r.real, r.imag])
+        self.memo_key, self.memo_res = key, res
+        return res
+
+    def jacobian(self, params):
         """Analytic derivative of the residual, with the scale held fixed.
 
         Freezing the projection scale (a variable-projection shortcut) keeps
         the Jacobian holomorphic in the four complex unknowns, which the
         realified 2x2 block form below relies on.
         """
-        center, axis = self.assemble(chart, params)
+        if params.tobytes() != self.memo_key:
+            self.residual(params)
         k = len(self.samples)
-        if self._degenerate(center, axis):
-            return np.zeros((2 * k, 8))
-        cp, cl = chart
-        denom = axis @ center
-        m = _homology_matrix(center, axis, self.zeta)
-        y = self.samples @ m.T
-        grad = np.stack([p.evaluate_many(y) for p in self.partials], axis=1)
+        out = np.zeros((2 * k, 8))
+        if self.memo is None:
+            return out
+        center, axis, denom, grad = self.memo
         t = self.samples @ axis  # (k,)
         gp = grad @ center  # (k,) gradient dotted with the center
         w = (self.zeta - 1.0) / denom
+        fp, fl = self.free[:2], self.free[2:] - 3
         jac = np.empty((k, 4), dtype=complex)
-        free_p = [i for i in range(3) if i != cp]
-        free_l = [i for i in range(3) if i != cl]
-        for col, i in enumerate(free_p):
-            jac[:, col] = w * t * (grad[:, i] - (axis[i] / denom) * gp)
-        for col, i in enumerate(free_l):
-            jac[:, 2 + col] = w * (self.samples[:, i] - center[i] * t / denom) * gp
-        return np.block(
-            [[jac.real, -jac.imag], [jac.imag, jac.real]]
+        jac[:, :2] = (w * t)[:, None] * (grad[:, fp] - (axis[fp] / denom) * gp[:, None])
+        jac[:, 2:] = (
+            w * (self.samples[:, fl] - center[fl] * t[:, None] / denom) * gp[:, None]
         )
-
-
-def _partial_curve(num, var):
-    """The partial derivative of a numeric curve (no renormalization)."""
-    keep = num.exps[:, var] > 0
-    exps = num.exps[keep].copy()
-    coeffs = num.coeffs[keep] * exps[:, var]
-    exps[:, var] -= 1
-    out = NumericCurve.__new__(NumericCurve)
-    out.degree = num.degree - 1
-    out.exps = exps
-    out.coeffs = coeffs
-    return out
+        out[:k, :4] = jac.real
+        out[:k, 4:] = -jac.imag
+        out[k:, :4] = jac.imag
+        out[k:, 4:] = jac.real
+        return out
 
 
 def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
@@ -287,29 +314,31 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
     """
     if n < 2:
         raise ValueError("the homology order must be at least 2")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if not cluster_tol > 0:
+        raise ValueError("cluster tolerance must be positive")
+    if starts < 0:
+        raise ValueError("the number of starts must be nonnegative")
     num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
     search = _Search(num, n, seed, starts)
     converged = []
     n_conv = 0
     for idx in range(starts):
-        chart = (idx % 3, (idx // 3) % 3)
-        x0 = search.starts[idx]
-        sol = least_squares(
-            lambda p: search.residual(chart, p),
-            x0,
-            jac=lambda p: search.jacobian(chart, p),
-            method="lm",
-            xtol=1e-15,
+        search.set_chart((idx % 3, (idx // 3) % 3))
+        x, _cov, info, _msg, _ier = leastsq(
+            search.residual,
+            search.starts[idx],
+            Dfun=search.jacobian,
+            full_output=True,
             ftol=1e-15,
+            xtol=1e-15,
             gtol=1e-15,
-            max_nfev=200,
+            maxfev=200,
         )
-        res = float(np.linalg.norm(sol.fun))
-        if res < tol:
+        if np.linalg.norm(info["fvec"]) < tol:
             n_conv += 1
-            center, _axis = search.assemble(chart, sol.x)
+            center, _axis = search.assemble(x)
             converged.append(center / np.linalg.norm(center))
     clusters = []  # (representative, radius)
     for center in converged:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from quasigalois import catalog, curve_to_json
+from quasigalois import cli
 from quasigalois.cli import main
 
 
@@ -281,6 +282,32 @@ def test_out_of_range_numbers_are_usage_errors(
         "verify-paper": ["verify-paper", "--case", "fermat_quartic", "--no-oracle"],
     }[command]
     assert main(argv + ["--format", "json", "%s=%s" % (flag, value)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"] == flag
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("oracle-census", "--starts", cli._MAX_STARTS + 1),
+        ("analyze", "--cap", cli._MAX_CAP + 1),
+        ("closure", "--cap", cli._MAX_CAP + 1),
+    ],
+)
+def test_values_above_the_input_budget_are_usage_errors(
+    fermat_file, tmp_path, capsys, command, flag, value
+):
+    # only ceiling + 1 is tried: it is rejected before anything is allocated
+    from quasigalois import ProjMatrix
+
+    ctx = catalog.make("fermat_quartic").context
+    gpath = generator_file(tmp_path, [ProjMatrix.identity(ctx)])
+    argv = {
+        "oracle-census": ["oracle-census", "--curve", fermat_file, "--order", "2"],
+        "analyze": ["analyze", "--curve", fermat_file],
+        "closure": ["closure", "--curve", fermat_file, "--generators", gpath],
+    }[command]
+    assert main(argv + ["--format", "json", "%s=%d" % (flag, value)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["path"] == flag
 

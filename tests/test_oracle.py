@@ -17,7 +17,7 @@ from quasigalois import (
     numeric_curve,
     numeric_spot_check,
 )
-from quasigalois import catalog
+from quasigalois import catalog, oracle
 
 
 def random_element(ctx, rng):
@@ -146,3 +146,145 @@ def test_objective_landscape_is_seed_independent():
     b = numeric_census(inst.curve, 4, starts=200, seed=123)
     assert a.count == b.count == 1
     assert abs(np.vdot(a.centers[0], b.centers[0])) >= 1 - 1e-6
+
+
+def test_numeric_census_rejects_nan_tolerances_and_negative_starts():
+    inst = catalog.make("fermat_quartic")
+    bad = [
+        {"tol": float("nan")},
+        {"cluster_tol": float("nan")},
+        {"cluster_tol": 0.0},
+        {"cluster_tol": -1e-6},
+        {"starts": -1},
+    ]
+    for kwargs in bad:
+        args = {"starts": 10, **kwargs}
+        with pytest.raises(ValueError):
+            numeric_census(inst.curve, 2, **args)
+
+
+def _realified_image(num, samples, zeta, chart, x):
+    """F(M samples) for the homology M of the chart's parameters, realified."""
+    cx = x[:4] + 1j * x[4:]
+    center = np.insert(cx[:2], chart[0], 1.0)
+    axis = np.insert(cx[2:], chart[1], 1.0)
+    m = np.eye(3) + (zeta - 1.0) * np.outer(center, axis) / (axis @ center)
+    g = num.evaluate_many(samples @ m.T)
+    return np.concatenate([g.real, g.imag])
+
+
+@pytest.mark.parametrize("name, n", [("fermat_quartic", 2), ("hessian_sextic", 3)])
+def test_jacobian_matches_central_differences_in_every_chart(name, n):
+    # with the projection scale frozen, the residual's Jacobian is the
+    # derivative of g(x) = F(y(x)) at the fixed samples
+    num = numeric_curve(catalog.make(name).curve)
+    search = oracle._Search(num, n, seed=0, starts=9)
+    h = 1e-6
+    for idx in range(9):
+        chart = (idx % 3, idx // 3)
+        search.set_chart(chart)
+        x = search.starts[idx]
+        jac = search.jacobian(x)
+        assert jac.shape == (2 * len(search.samples), 8)
+        fd = np.empty_like(jac)
+        for j in range(8):
+            step = np.zeros(8)
+            step[j] = h
+            fd[:, j] = (
+                _realified_image(num, search.samples, search.zeta, chart, x + step)
+                - _realified_image(num, search.samples, search.zeta, chart, x - step)
+            ) / (2 * h)
+        assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), (name, chart)
+
+
+def _reference_evaluation(search, num, chart, x):
+    """Residual and Jacobian by a 3x3 homology matrix and per-form contraction.
+
+    Each partial of F is contracted over its own monomials, as an
+    evaluation with one curve per partial does.
+    """
+    cx = x[:4] + 1j * x[4:]
+    center = np.insert(cx[:2], chart[0], 1.0 + 0j)
+    axis = np.insert(cx[2:4], chart[1], 1.0 + 0j)
+    denom = axis @ center
+    m = np.eye(3, dtype=complex) + (search.zeta - 1.0) * np.outer(center, axis) / denom
+    s = search.samples
+    y = s @ m.T
+    g = num.evaluate_many(y)
+    scale = np.vdot(search.f_samples, g) / search.f_norm2
+    r = g - scale * search.f_samples
+    grad = []
+    for v in range(3):
+        keep = num.exps[:, v] > 0
+        exps = num.exps[keep].copy()
+        coeffs = num.coeffs[keep] * exps[:, v]
+        exps[:, v] -= 1
+        mono = y[:, 0:1] ** exps[:, 0] * y[:, 1:2] ** exps[:, 1] * y[:, 2:3] ** exps[:, 2]
+        grad.append(mono @ coeffs)
+    grad = np.stack(grad, axis=1)
+    t = s @ axis
+    gp = grad @ center
+    w = (search.zeta - 1.0) / denom
+    jac = np.empty((len(s), 4), dtype=complex)
+    free_p = [i for i in range(3) if i != chart[0]]
+    free_l = [i for i in range(3) if i != chart[1]]
+    for col, i in enumerate(free_p):
+        jac[:, col] = w * t * (grad[:, i] - (axis[i] / denom) * gp)
+    for col, i in enumerate(free_l):
+        jac[:, 2 + col] = w * (s[:, i] - center[i] * t / denom) * gp
+    return (
+        np.concatenate([r.real, r.imag]),
+        np.block([[jac.real, -jac.imag], [jac.imag, jac.real]]),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, n", [("fermat_quartic", 2), ("hessian_sextic", 3), ("sextic_delta8", 3)]
+)
+def test_evaluation_rounds_exactly_like_the_reference(name, n):
+    # starts that end near tol converge or not depending on the last bit, so
+    # the fused evaluation must not change a single one
+    num = numeric_curve(catalog.make(name).curve)
+    search = oracle._Search(num, n, seed=1, starts=27)
+    for idx in range(27):
+        chart = (idx % 3, (idx // 3) % 3)
+        search.set_chart(chart)
+        x = search.starts[idx] * 10.0 ** (idx % 3 - 1)
+        res, jac = _reference_evaluation(search, num, chart, x)
+        assert search.residual(x).tobytes() == res.tobytes(), (name, idx)
+        assert search.jacobian(x).tobytes() == jac.tobytes(), (name, idx)
+
+
+def test_degenerate_homology_gives_flat_residual_and_zero_jacobian():
+    num = numeric_curve(catalog.make("fermat_quartic").curve)
+    search = oracle._Search(num, 2, seed=0, starts=1)
+    search.set_chart((0, 0))
+    # center (1, 1, 0) and axis (1, -1, 0): axis . center = 0
+    x = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    k = len(search.samples)
+    assert np.array_equal(search.residual(x), np.full(2 * k, 1e3))
+    assert np.array_equal(search.jacobian(x), np.zeros((2 * k, 8)))
+
+
+# Recorded with scipy's least_squares(method="lm") driver and one
+# NumericCurve per partial: fermat_quartic, n=2, 60 starts, seed 0.  Every
+# start ends below 1e-14 or above 0.9, far from tol, so lmder's run-to-run
+# variation cannot move the converged count.
+PINNED_CONVERGED = 46
+PINNED_CENTERS = [
+    (-1, 1, 0), (0, -1j, 1), (0, 0, 1), (0, 1, -1), (0, 1, -1j),
+    (0, 1, 0), (0, 1, 1), (1, -1j, 0), (1, 0, -1), (1, 0, -1j),
+    (1, 0, 0), (1, 0, 1j), (1, 0, 1), (1, 1j, 0), (1, 1, 0),
+]
+
+
+def test_small_census_matches_the_pinned_run():
+    result = numeric_census(catalog.make("fermat_quartic").curve, 2, starts=60, seed=0)
+    assert result.diagnostics["converged"] == PINNED_CONVERGED
+    assert result.count == len(PINNED_CENTERS)
+    pinned = [np.array(p, dtype=complex) / np.linalg.norm(p) for p in PINNED_CENTERS]
+    found = [c / np.linalg.norm(c) for c in result.centers]
+    # a bijection of projective points: each pinned center is matched once
+    overlap = np.abs(np.array([[np.vdot(p, c) for c in found] for p in pinned]))
+    assert (overlap.max(axis=1) >= 1 - 1e-12).all()
+    assert sorted(overlap.argmax(axis=1)) == list(range(len(found)))
