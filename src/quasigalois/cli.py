@@ -19,9 +19,10 @@ diagnostics.  With ``--format json`` errors are emitted as JSON objects.
 
 The environment variable ``QGP_MAX_CONDUCTOR`` (default 10000) bounds the
 cyclotomic conductor accepted from input files, guarding against
-accidentally enormous fields.  ``--starts`` is at most 10^6 (the starts are
-drawn up front, 64 bytes each) and ``--cap`` at most 10^5; larger values are
-usage errors.
+accidentally enormous fields.  A curve's degree is at most 8
+(``serialize._MAX_DEGREE``), ``--starts`` at most 10^6 (the starts are drawn
+up front, 64 bytes each) and ``--cap`` at most 10^5; larger values are usage
+errors.
 """
 
 from __future__ import annotations

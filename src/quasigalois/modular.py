@@ -8,7 +8,9 @@ above p and the ring map
     Z[zeta_N]_(P) -> F_p,   sum nums[i] zeta^i / den  ->  sum nums[i] r^i / den,
 
 defined on every element whose denominator is prime to p.  `Reduction` is
-that map; `choose_prime` picks p from the matrices that are to be reduced.
+that map; `split_reductions` lists the good ones in increasing order of p,
+and `choose_prime` picks from them for the matrices that are to be reduced
+(``smoothness`` picks from them for a form).
 
 Why a fingerprint is injective on a finite group.  Let G in PGL_3(K) be
 finite and generated by matrices whose entries are P-integral and whose
@@ -125,6 +127,19 @@ def _det(flat, p):
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
 
 
+def split_reductions(conductor, dens, above=3):
+    """The reductions at the primes p > above, p = 1 (mod N), prime to dens.
+
+    In increasing order of p; every element whose denominator divides a
+    product of dens is P-integral at each of them.
+    """
+    p = above - (above - 1) % conductor  # the largest p <= above with p = 1 (mod N)
+    while True:
+        p += conductor
+        if _is_prime(p) and all(d % p for d in dens):
+            yield Reduction(conductor, p)
+
+
 def choose_prime(matrices):
     """The reduction at the least prime p > 3, p = 1 (mod N), that suits the matrices.
 
@@ -137,11 +152,6 @@ def choose_prime(matrices):
         raise ZeroDivisionError("a singular matrix has no good reduction")
     conductor = matrices[0].context.conductor
     dens = [c.den for m in matrices for row in m.rows for c in row]
-    p = 1
-    while True:
-        p += conductor
-        if p <= 3 or not _is_prime(p) or any(d % p == 0 for d in dens):
-            continue
-        red = Reduction(conductor, p)
-        if all(_det(red.matrix(m), p) for m in matrices):
+    for red in split_reductions(conductor, dens):
+        if all(_det(red.matrix(m), red.p) for m in matrices):
             return red

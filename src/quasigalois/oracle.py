@@ -9,10 +9,12 @@ multiple of n is a sanity sweep, never a certificate: nothing guarantees the
 random starts reach every center, which is why the exact census remains the
 source of truth and the oracle only corroborates it.
 
-Each start is solved by MINPACK's lmder through ``scipy.optimize.leastsq``.
-One evaluation reads F and its three partials at the homology images of the
-samples from one gather of a power table, and keeps the gradient for the
-last point, where lmder next asks for the Jacobian.
+Each start is solved by MINPACK's lmder, called with the arguments that
+``scipy.optimize.leastsq`` passes it, but without leastsq's checks of both
+callbacks at the start and its covariance estimate, which nothing here
+reads.  One evaluation reads F and its three partials at the homology images
+of the samples from one gather of a power table, and keeps the gradient for
+the last point, where lmder next asks for the Jacobian.
 
 Determinism: all randomness flows from one integer seed; the starts are
 pre-generated up front and the results merged in a canonical order.  lmder
@@ -29,7 +31,7 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.optimize import leastsq
+from scipy.optimize._minpack import _lmder
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,12 @@ class _Search:
         return out
 
 
+# The arguments after x0 that leastsq(residual, x0, Dfun=jacobian,
+# full_output=True, ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=200) passes to
+# lmder: args, full_output, col_deriv, ftol, xtol, gtol, maxfev, factor, diag.
+_LMDER_ARGS = ((), 1, 0, 1e-15, 1e-15, 1e-15, 200, 100, None)
+
+
 def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
     """Count the distinct homology centers whose order is a multiple of n.
 
@@ -326,15 +334,8 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
     n_conv = 0
     for idx in range(starts):
         search.set_chart((idx % 3, (idx // 3) % 3))
-        x, _cov, info, _msg, _ier = leastsq(
-            search.residual,
-            search.starts[idx],
-            Dfun=search.jacobian,
-            full_output=True,
-            ftol=1e-15,
-            xtol=1e-15,
-            gtol=1e-15,
-            maxfev=200,
+        x, info, _ier = _lmder(
+            search.residual, search.jacobian, search.starts[idx].flatten(), *_LMDER_ARGS
         )
         if np.linalg.norm(info["fvec"]) < tol:
             n_conv += 1

@@ -40,6 +40,11 @@ from .groups import order_histogram
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
+# The largest curve degree accepted from input.  The paper's curves have
+# degree 4 and 6; the exact smoothness rank of a dense singular form of
+# degree 8 over Q(zeta_3) already takes about 40 s.
+_MAX_DEGREE = 8
+
 
 # ---------------------------------------------------------------------------
 # rationals
@@ -261,6 +266,8 @@ def form_from_json(data, path="curve", max_conductor=None):
     degree = data.get("degree")
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise SchemaError(path + ".degree", "expected a positive integer")
+    if degree > _MAX_DEGREE:
+        raise SchemaError(path + ".degree", "must be at most %d" % _MAX_DEGREE)
     raw_terms = data.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SchemaError(path + ".terms", "expected a nonempty list")

@@ -18,11 +18,33 @@ K equals the rank over its algebraic closure, so the test is exact: singular
 points that are not defined over K are found as well.  A zero partial needs
 no special case, since its rows are empty and the rank stays short.
 
+The rank is first taken modulo a prime, which certifies a full rank.  Over a
+plain cyclotomic field K = Q(zeta_N), let P lie above the least prime
+p > 2^16 with p = 1 (mod N) that divides no coefficient's denominator
+(``modular.split_reductions``).  Every entry of the Macaulay matrix is an
+integer multiple of a coefficient of F, so the matrix has entries in the
+local ring at P, and reduction mod P is a ring map on them.  A maximal minor
+is a polynomial with integer coefficients in the entries, so its reduction
+is the same minor of the reduced matrix.  A full rank over F_p therefore
+gives a maximal minor that is nonzero mod P, hence nonzero in K: the rank
+over K is full and F is smooth.  A short rank mod P proves nothing, since
+it may come from a singular point of F or from a prime of bad reduction
+(X^4 + Y^4 + p Z^4 is smooth but singular mod p), so the exact rank over K
+decides.  Both ranks run through the same elimination, which takes its field
+from the caller.  A quadratic extension K[l] has no reduction map here and
+goes straight to the exact rank.
+
 References: F. S. Macaulay, The Algebraic Theory of Modular Systems (1916);
 D. Cox, J. Little and D. O'Shea, Using Algebraic Geometry, GTM 185, ch. 3.
 """
 
 from __future__ import annotations
+
+from .modular import split_reductions
+
+# The modular rank uses the least suitable split prime above this bound: the
+# least split primes (5, 7) often reduce a smooth moved form to a singular one.
+_PRIME_FLOOR = 1 << 16
 
 
 def _monomials(D):
@@ -30,16 +52,91 @@ def _monomials(D):
     return [(i, j, D - i - j) for i in range(D, -1, -1) for j in range(D - i, -1, -1)]
 
 
+def _rows(partials, d):
+    """The Macaulay rows m * F_v as dicts keyed by monomial, lazily."""
+    shifts = _monomials(2 * d - 4)
+    for partial in partials:
+        for a, b, c in shifts:
+            yield {(i + a, j + b, k + c): x for (i, j, k), x in partial.items()}
+
+
+def _full_rank(rows, target, inverse, normal):
+    """True once the rows span `target` monomials, False if they run out.
+
+    An incremental sparse row echelon: each row is a dict keyed by monomial
+    with nonzero entries, reduced at its leading monomial (the largest
+    exponent triple) by the pivot stored there; a row whose leading monomial
+    is new becomes a pivot scaled to 1 there, stored without that entry.
+    The field comes from the caller: `inverse(x)` inverts a nonzero entry and
+    `normal(x)` brings a product or sum to its normal form.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = inverse(row.pop(lead))
+                pivots[lead] = {m: normal(x * inv) for m, x in row.items()}
+                if len(pivots) == target:
+                    return True
+                break
+            scale = -row.pop(lead)
+            for m, x in pivot.items():
+                y = row.get(m)
+                y = normal(scale * x if y is None else y + scale * x)
+                if y:
+                    row[m] = y
+                else:
+                    row.pop(m, None)
+    return False
+
+
+def _full_rank_mod_p(form, target):
+    """True when the Macaulay rows have full rank modulo P (see above).
+
+    False means only that the modular rank proves nothing, including for a
+    quadratic-extension form, which is not reduced.
+    """
+    ctx = form.context
+    if ctx.lambda_sq is not None:
+        return False
+    terms = form.terms
+    red = next(
+        split_reductions(ctx.conductor, [c.den for c in terms.values()], _PRIME_FLOOR)
+    )
+    p = red.p
+    reduced = {e: r for e, c in terms.items() if (r := red.element(c))}
+    partials = [
+        {
+            e[:v] + (e[v] - 1,) + e[v + 1 :]: e[v] * r % p
+            for e, r in reduced.items()
+            if e[v]
+        }
+        for v in range(3)
+    ]
+    return _full_rank(
+        _rows(partials, form.degree),
+        target,
+        lambda x: pow(x, -1, p),
+        lambda x: x % p,
+    )
+
+
+def _full_rank_exact(form, target):
+    """True when the Macaulay rows have full rank over the form's field."""
+    partials = [form.partial(v).terms for v in range(3)]
+    return _full_rank(
+        _rows(partials, form.degree), target, lambda x: x.inverse(), lambda x: x
+    )
+
+
 def is_smooth(form):
     """True when the projective plane curve F = 0 is smooth over the closure.
 
-    The rows m * F_v enter an incremental sparse row echelon: each row is a
-    dict keyed by monomial, reduced at its leading monomial (the largest
-    exponent triple) by the pivot stored there; a row whose leading monomial
-    is new becomes a pivot scaled to 1 there, stored without that entry.  The
-    rank is full once the pivots cover every monomial of degree 3d - 5, and
-    short if the rows run out first.  In an extension ring whose
-    lambda_sq is a square, a zero-divisor pivot raises ZeroDivisorEncountered.
+    The Macaulay rank is full modulo P (a certificate) or over K (exact).  In
+    an extension ring whose lambda_sq is a square, a zero-divisor pivot
+    raises ZeroDivisorEncountered.
     """
     if form.is_zero():
         raise ValueError("the zero form does not define a curve")
@@ -47,27 +144,4 @@ def is_smooth(form):
     if d == 1:
         return True
     target = len(_monomials(3 * d - 5))
-    pivots = {}
-    for v in range(3):
-        partial = form.partial(v).terms
-        for a, b, c in _monomials(2 * d - 4):
-            row = {(i + a, j + b, k + c): x for (i, j, k), x in partial.items()}
-            while row:
-                lead = max(row)
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    inv = row.pop(lead).inverse()
-                    pivot = {m: x * inv for m, x in row.items()}
-                    pivots[lead] = pivot
-                    if len(pivots) == target:
-                        return True
-                    break
-                scale = -row.pop(lead)
-                for m, x in pivot.items():
-                    y = row.get(m)
-                    y = scale * x if y is None else y + scale * x
-                    if y.is_zero():
-                        row.pop(m, None)
-                    else:
-                        row[m] = y
-    return False
+    return _full_rank_mod_p(form, target) or _full_rank_exact(form, target)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from quasigalois import catalog, curve_to_json
-from quasigalois import cli
+from quasigalois import cli, serialize
 from quasigalois.cli import main
 
 
@@ -310,6 +310,19 @@ def test_values_above_the_input_budget_are_usage_errors(
     assert main(argv + ["--format", "json", "%s=%d" % (flag, value)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["path"] == flag
+
+
+def test_degree_above_the_input_budget_is_a_usage_error(tmp_path, capsys):
+    # only ceiling + 1 is tried: it is rejected before any rank is taken
+    path = tmp_path / "high.json"
+    d = serialize._MAX_DEGREE + 1
+    one = {"conductor": 1, "coords": ["1"]}
+    terms = [{"exps": e, "coeff": one} for e in ([d, 0, 0], [0, d, 0], [0, 0, d])]
+    data = {"field": {"conductor": 1}, "degree": d, "terms": terms}
+    path.write_text(json.dumps(data))
+    assert main(["smooth", "--curve", str(path), "--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"].endswith(".degree")
 
 
 def test_verify_paper_list(capsys):

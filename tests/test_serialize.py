@@ -35,6 +35,7 @@ from quasigalois import (
 )
 from quasigalois import catalog
 from quasigalois.serialize import (
+    _MAX_DEGREE,
     rational_from_str,
     rational_to_str,
     scalar_from_literal,
@@ -83,6 +84,20 @@ def test_field_conductor_ceiling():
     with pytest.raises(SchemaError):
         field_from_json({"conductor": 101}, "f", max_conductor=100)
     assert field_from_json({"conductor": 100}, "f", max_conductor=100).conductor == 100
+
+
+def test_form_degree_ceiling():
+    one = {"conductor": 1, "coords": ["1"]}
+
+    def fermat(d):
+        exps = ([d, 0, 0], [0, d, 0], [0, 0, d])
+        terms = [{"exps": e, "coeff": one} for e in exps]
+        return {"field": {"conductor": 1}, "degree": d, "terms": terms}
+
+    assert form_from_json(fermat(_MAX_DEGREE), "c").degree == _MAX_DEGREE
+    with pytest.raises(SchemaError) as info:
+        form_from_json(fermat(_MAX_DEGREE + 1), "c")
+    assert info.value.path == "c.degree"
 
 
 def test_element_round_trip_randomized():

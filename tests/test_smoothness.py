@@ -1,6 +1,7 @@
 """Exact smoothness decisions over the algebraic closure."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,14 @@ from quasigalois import (
     is_smooth,
 )
 from quasigalois import catalog
-from quasigalois.cyclotomic import _conjugate
-from quasigalois.smoothness import _monomials
+from quasigalois.cyclotomic import FieldElement, _conjugate
+from quasigalois.modular import Reduction, split_reductions
+from quasigalois.smoothness import (
+    _PRIME_FLOOR,
+    _full_rank_exact,
+    _full_rank_mod_p,
+    _monomials,
+)
 
 
 def test_all_catalog_forms_are_smooth(instances):
@@ -22,17 +29,21 @@ def test_all_catalog_forms_are_smooth(instances):
         assert is_smooth(inst.curve.form), name
 
 
-def test_known_singular_quartics():
+def _singular_quartics():
     ctx = FieldContext(4)
-    # cuspidal: X^3 Z + Y^4 has a singular point at (0 : 0 : 1)
-    cusp = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1})
-    assert not is_smooth(cusp)
-    # union of four lines through coordinate vertices
-    lines = HomoPoly.from_int_terms(ctx, 4, {(2, 2, 0): 1, (0, 2, 2): 1})
-    assert not is_smooth(lines)
-    # binary quartic in X, Y only: singular at (0 : 0 : 1)
-    binary = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1})
-    assert not is_smooth(binary)
+    return (
+        # cuspidal: X^3 Z + Y^4 has a singular point at (0 : 0 : 1)
+        HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1}),
+        # union of four lines through coordinate vertices
+        HomoPoly.from_int_terms(ctx, 4, {(2, 2, 0): 1, (0, 2, 2): 1}),
+        # binary quartic in X, Y only: singular at (0 : 0 : 1)
+        HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1}),
+    )
+
+
+def test_known_singular_quartics():
+    for form in _singular_quartics():
+        assert not is_smooth(form)
 
 
 def test_parameter_boundaries_are_singular():
@@ -106,11 +117,10 @@ def _random_invertible(rng, ctx):
             return m
 
 
-@pytest.mark.parametrize(
-    "conductor, degree",
-    [(3, d) for d in (2, 3, 4, 5, 6)] + [(4, d) for d in (2, 3, 4, 5)],
-)
-def test_moved_forms_of_every_degree(conductor, degree):
+MOVED = [(3, d) for d in (2, 3, 4, 5, 6)] + [(4, d) for d in (2, 3, 4, 5)]
+
+
+def _moved_forms(conductor, degree):
     # A form with no monomial of X-degree >= d - 1 has all partials zero at
     # (1 : 0 : 0); a change of coordinates hides that point but keeps it
     # singular, and keeps the Fermat curve smooth.
@@ -128,8 +138,15 @@ def test_moved_forms_of_every_degree(conductor, degree):
     fermat = HomoPoly.from_int_terms(
         ctx, degree, {(degree, 0, 0): 1, (0, degree, 0): 1, (0, 0, degree): 1}
     )
-    assert not is_smooth(singular.pullback(_random_invertible(rng, ctx)))
-    assert is_smooth(fermat.pullback(_random_invertible(rng, ctx)))
+    moved_singular = singular.pullback(_random_invertible(rng, ctx))
+    return moved_singular, fermat.pullback(_random_invertible(rng, ctx))
+
+
+@pytest.mark.parametrize("conductor, degree", MOVED)
+def test_moved_forms_of_every_degree(conductor, degree):
+    singular, fermat = _moved_forms(conductor, degree)
+    assert not is_smooth(singular)
+    assert is_smooth(fermat)
 
 
 def test_sextic_singular_only_at_points_outside_the_field():
@@ -181,3 +198,65 @@ def test_smoothness_is_invariant_under_galois_conjugation():
             terms = {e: _conjugate(c, k) for e, c in form.terms.items()}
             assert terms != form.terms
             assert is_smooth(HomoPoly(ctx, form.degree, terms)) is expected
+
+
+def _target(form):
+    return len(_monomials(3 * form.degree - 5))
+
+
+def test_modular_certificate_is_never_full_where_the_exact_rank_is_short():
+    cases = [(form, False) for form in _singular_quartics()]
+    for conductor, degree in MOVED:
+        singular, fermat = _moved_forms(conductor, degree)
+        cases += [(singular, False), (fermat, True)]
+    for form, smooth in cases:
+        target = _target(form)
+        modular = _full_rank_mod_p(form, target)
+        # a singular form is never certified; the moved Fermat forms have
+        # good reduction, so the certificate fires on them
+        assert modular is smooth
+        assert _full_rank_exact(form, target) is smooth
+
+
+def test_bad_reduction_falls_back_to_the_exact_rank():
+    # X^4 + Y^4 + p Z^4 is smooth over Q(i) but singular at (0 : 0 : 1) mod p
+    ctx = FieldContext(4)
+    p = next(split_reductions(4, [], _PRIME_FLOOR)).p
+    form = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): p})
+    assert not _full_rank_mod_p(form, _target(form))
+    assert is_smooth(form)
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    return calls
+
+
+def test_moved_sextic_is_certified_without_field_inversions(monkeypatch):
+    # the benchmark's fixed moved member: sextic_delta4 at a = 3/2, F(M x)
+    base = catalog.make("sextic_delta4", a=Fraction(3, 2)).curve.form
+    m = ProjMatrix.from_ints(base.context, ((1, 1, 1), (1, -1, 1), (1, 1, -1)))
+    form = base.pullback(m)
+    calls = _count_inversions(monkeypatch)
+    assert is_smooth(form)
+    assert calls == []
+
+
+def test_quadratic_extension_gets_the_exact_verdict(monkeypatch):
+    special = catalog.make("quartic_xy", a=6)  # Q(zeta_8)[l], l^2 = 2*sqrt(2)
+    assert special.context.lambda_sq is not None
+
+    def no_reduction(self, e):
+        raise AssertionError("a quadratic extension must not be reduced mod p")
+
+    monkeypatch.setattr(Reduction, "element", no_reduction)
+    calls = _count_inversions(monkeypatch)
+    assert is_smooth(special.curve.form)
+    assert calls

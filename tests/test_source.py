@@ -7,13 +7,19 @@ from pathlib import Path
 import quasigalois
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+FLOAT_MODULES = {"numpy", "scipy", "cmath", "math"}
+
+
+def _sources():
+    sources = sorted(Path(quasigalois.__file__).parent.glob("*.py"))
+    assert any(p.name == "census.py" for p in sources)
+    return sources
 
 
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements; invariants must raise
     # InvariantViolation instead so they still fire.
-    sources = sorted(Path(quasigalois.__file__).parent.glob("*.py"))
-    assert any(p.name == "census.py" for p in sources)
+    sources = _sources()
     offenders = [
         "%s:%d" % (path.name, node.lineno)
         for path in sources
@@ -21,6 +27,30 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _float_imports(path):
+    """The imports of numpy, scipy, cmath or math (other than math.gcd)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+            found += [n for n in names if n.split(".")[0] in FLOAT_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            root = node.module.split(".")[0]
+            if root in FLOAT_MODULES - {"math"} or (
+                root == "math" and any(a.name != "gcd" for a in node.names)
+            ):
+                found.append(node.module)
+    return found
+
+
+def test_exact_modules_import_no_floating_point_code():
+    # Only the heuristic oracle, and the CLI that reports it, compute with
+    # floats; every certified statement comes from the other modules.
+    float_users = {p.name for p in _sources() if _float_imports(p)}
+    assert "oracle.py" in float_users
+    assert float_users <= {"oracle.py", "cli.py"}
 
 
 def test_benchmark_trace_hooks_resolve_in_the_package():
