@@ -324,13 +324,14 @@ def _assert_groups_disjoint(records):
 
 
 def _assert_pair_fixed_loci_off_curve(form, pairs):
-    for pair in pairs:
-        r1, r2 = pair.rec1, pair.rec2
-        if r1.on_curve or r2.on_curve:
-            continue
-        # the common fixed locus of the two generators is {P1, P2, third}
-        for p in (r1.point, r2.point, pair.third):
-            if form.vanishes_at(p):
-                raise InvariantViolation(
-                    "for an outer mutual pair the common fixed points avoid the curve"
-                )
+    # the common fixed locus of the two generators is {P1, P2, third}; P1 and
+    # P2 are outer points, so only each distinct third point is evaluated
+    thirds = {
+        pair.third
+        for pair in pairs
+        if not (pair.rec1.on_curve or pair.rec2.on_curve)
+    }
+    if any(form.vanishes_at(p) for p in thirds):
+        raise InvariantViolation(
+            "for an outer mutual pair the common fixed points avoid the curve"
+        )

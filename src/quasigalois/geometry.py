@@ -294,6 +294,74 @@ class ProjMatrix:
 # ---------------------------------------------------------------------------
 # ternary forms
 # ---------------------------------------------------------------------------
+#
+# The substitution kernel packs an exponent (i, j, k) of a degree-d form as
+# i*b^2 + j*b + k with b = d + 1, so multiplying by a variable adds a constant
+# shift.  A linear form is the list of its nonzero (shift, coefficient) pairs.
+# Factors equal to one are passed as the context's `one` object itself and
+# skipped by an identity test; that only saves work, never changes a value.
+
+
+def _times_linear(poly, lin, one):
+    """Product of a packed form with a linear form."""
+    out = {}
+    for e, c in poly.items():
+        for s, a in lin:
+            v = c if a is one else a if c is one else c * a
+            f = e + s
+            w = out.get(f)
+            out[f] = v if w is None else w + v
+    return out
+
+
+def _add_scaled(acc, poly, c, one):
+    """acc += c * poly, in place on the packed form acc."""
+    for e, v in poly.items():
+        if v is one:
+            v = c
+        elif c is not one:
+            v = c * v
+        w = acc.get(e)
+        acc[e] = v if w is None else w + v
+
+
+def _substitute(terms, degree, one, rows):
+    """Exponent map of F(M x), for F's exponent map `terms` and the rows of M.
+
+    The nested Horner steps of HomoPoly.pullback; the map may hold zero
+    coefficients.
+    """
+    if not terms:
+        return {}
+    b = degree + 1
+    l0, l1, l2 = (
+        [
+            (s, one if a.is_one() else a)
+            for s, a in zip((b * b, b, 1), row)
+            if not a.is_zero()
+        ]
+        for row in rows
+    )
+    by_x = {}
+    for (i, j, k), c in terms.items():
+        by_x.setdefault(i, {})[j] = one if c.is_one() else c
+    z_pows = [{0: one}]
+    for _ in range(max(k for _, _, k in terms)):
+        z_pows.append(_times_linear(z_pows[-1], l2, one))
+    acc = {}
+    for i in range(max(by_x), -1, -1):
+        acc = _times_linear(acc, l0, one)
+        a_i = by_x.get(i)
+        if a_i is None:
+            continue
+        inner = {}
+        for j in range(max(a_i), -1, -1):
+            inner = _times_linear(inner, l1, one)
+            c = a_i.get(j)
+            if c is not None:
+                _add_scaled(inner, z_pows[degree - i - j], c, one)
+        _add_scaled(acc, inner, one, one)
+    return {(e // (b * b), e // b % b, e % b): c for e, c in acc.items()}
 
 
 class HomoPoly:
@@ -414,18 +482,19 @@ class HomoPoly:
         return tuple(self.partial(v).evaluate(point) for v in range(3))
 
     def pullback(self, matrix):
-        """The form x -> F(M x), computed by substituting row linear forms."""
-        ctx = self.context
-        d = self.degree
-        rows = [
-            HomoPoly.linear_form(ctx, matrix.rows[i]) for i in range(3)
-        ]
-        one = HomoPoly(ctx, 0, {(0, 0, 0): ctx.one()})
-        pows = [_powers(rows[v], d, one) for v in range(3)]
-        acc = HomoPoly.zero(ctx, d)
-        for (i, j, k), c in self.terms.items():
-            acc = acc + (pows[0][i] * pows[1][j] * pows[2][k]).scale(c)
-        return acc
+        """The form x -> F(M x), substituting the rows of M by nested Horner steps.
+
+        With F = sum_i X^i * A_i(Y, Z), the result is accumulated as
+        acc <- acc * l0 + A_i(l1, l2) from the top X-degree down, each A_i by
+        the same step in l1 over a table of powers of l2 (l_v the linear form
+        of row v).  Every step multiplies by a linear form and skips its zero
+        entries, so the sparse base changes of the census cost little.
+        """
+        return HomoPoly(
+            self.context,
+            self.degree,
+            _substitute(self.terms, self.degree, self.context.one(), matrix.rows),
+        )
 
     def restrict_to_line(self, line):
         """Binary form coefficients of F(s*S1 + t*S2) on the line's spanning points.
@@ -437,22 +506,17 @@ class HomoPoly:
         return self.restrict_to_pencil(s1, s2)
 
     def restrict_to_pencil(self, p, q):
-        """Binary form of F(s*P + t*Q) as a dense coefficient list in t-degree."""
+        """Binary form of F(s*P + t*Q) as a dense coefficient list in t-degree.
+
+        Entry m is the coefficient of s^(d-m) t^m, read off the pullback by
+        the matrix with columns P, Q and 0 as its X^(d-m) Y^m coefficient.
+        """
         ctx = self.context
         d = self.degree
-        # coordinate m of s*P + t*Q is the binary linear form P_m + Q_m t
-        one = UniPoly.constant(ctx, ctx.one())
-        pows = [
-            _powers(UniPoly(ctx, [p.coords[m], q.coords[m]]), d, one)
-            for m in range(3)
-        ]
-        out = [ctx.zero()] * (d + 1)
-        for (i, j, k), c in self.terms.items():
-            prod = pows[0][i] * pows[1][j] * pows[2][k]
-            for m, v in enumerate(prod.coeffs):
-                if not v.is_zero():
-                    out[m] = out[m] + c * v
-        return out
+        zero = ctx.zero()
+        rows = [(p.coords[v], q.coords[v], zero) for v in range(3)]
+        out = _substitute(self.terms, d, ctx.one(), rows)
+        return [out.get((d - m, m, 0), zero) for m in range(d + 1)]
 
     def __eq__(self, other):
         if not isinstance(other, HomoPoly):

@@ -13,10 +13,13 @@ The solver moves P to (1:0:0), expands the form as sum_i X^i * A_(d-i)(Y,Z),
 and uses the fact that invariance under (X, Y, Z) -> (zeta X + bY + cZ, Y, Z)
 forces the scalar to be zeta^m (m the largest X-degree) and pins (b, c) down
 through the linear identity m*(bY+cZ)*A_(d-m) = (zeta-1)*A_(d-m+1); the
-candidate is then verified by one exact pullback.  Testing a single primitive
-n-th root per candidate order n is complete because all homologies with
-center P share an axis and form a cyclic group, so an element of order n
-exists iff one with the chosen primitive ratio does.
+candidate is then verified by one exact pullback.  classify_point moves P
+once and solves every candidate order on that one moved form, whose X^d
+coefficient F(P) also decides whether P is on the curve; each candidate that
+passes the linear step is still verified by its own exact pullback.  Testing
+a single primitive n-th root per candidate order n is complete because all
+homologies with center P share an axis and form a cyclic group, so an element
+of order n exists iff one with the chosen primitive ratio does.
 """
 
 from __future__ import annotations
@@ -97,25 +100,21 @@ def _standard_basis_point(ctx, k):
     return ProjPoint(ctx, coords)
 
 
-def solve_homology(form, point, zeta, order=None):
-    """The homology with center `point` and ratio `zeta` preserving `form`.
+def _move_to_origin(form, point):
+    """Base change B moving (1:0:0) to `point`, G = F(B x) and G's X-degree buckets.
 
-    Returns a Homology, or None when no such map exists.  `zeta` must be
-    different from 1; `order` (its multiplicative order) is computed when not
-    supplied.
+    B's first column is the point and its others are the two standard basis
+    vectors off the point's pivot.  Buckets map i to A_(d-i)(Y, Z) of
+    G = sum_i X^i * A_(d-i)(Y, Z), stored as a dense list indexed by the
+    Z-exponent.
     """
     ctx = form.context
-    one = ctx.one()
-    if zeta == one:
-        raise ValueError("the ratio of a homology is different from 1")
     d = form.degree
     piv = next(i for i, c in enumerate(point.coords) if not c.is_zero())
     others = [k for k in range(3) if k != piv]
     cols = [point] + [_standard_basis_point(ctx, k) for k in others]
     B = ProjMatrix.from_columns(*cols)
     G = form.pullback(B)
-    # bucket the coefficients by X-degree: G = sum_i X^i * A_(d-i)(Y, Z),
-    # A_(d-i) stored as a dense list indexed by the Z-exponent
     zero = ctx.zero()
     buckets = {}
     for (i, j, k), c in G.terms.items():
@@ -123,8 +122,30 @@ def solve_homology(form, point, zeta, order=None):
         if arr is None:
             arr = [zero] * (d - i + 1)
             buckets[i] = arr
-        arr[k] = arr[k] + c
-    m = max(i for i, arr in buckets.items() if any(not c.is_zero() for c in arr))
+        arr[k] = c
+    return B, G, buckets
+
+
+def solve_homology(form, point, zeta, order=None):
+    """The homology with center `point` and ratio `zeta` preserving `form`.
+
+    Returns a Homology, or None when no such map exists.  `zeta` must be
+    different from 1; `order` (its multiplicative order) is computed when not
+    supplied.
+    """
+    if zeta == form.context.one():
+        raise ValueError("the ratio of a homology is different from 1")
+    return _solve_moved(_move_to_origin(form, point), point, zeta, order)
+
+
+def _solve_moved(moved, point, zeta, order):
+    """solve_homology on a form already moved by _move_to_origin."""
+    B, G, buckets = moved
+    ctx = G.context
+    one = ctx.one()
+    zero = ctx.zero()
+    d = G.degree
+    m = max(buckets, default=0)
     if m == 0:
         raise ValueError(
             "the form is a cone with vertex at the point; classification "
@@ -221,15 +242,19 @@ class PointRecord:
 def classify_point(form, point):
     """Order and generator of the group of homologies at a point.
 
-    Tries every order n >= 2 dividing the projection degree; the group being
-    cyclic, the successful orders must be exactly the divisors > 1 of the
-    maximum, which is asserted.  Raises RootOfUnityUnavailable if some
-    candidate order has no primitive root in the field, since the
-    classification could not be certified there.
+    Moves the point to (1:0:0) once, then tries every order n >= 2 dividing
+    the projection degree on that one moved form; the group being cyclic, the
+    successful orders must be exactly the divisors > 1 of the maximum, which
+    is asserted.  Raises RootOfUnityUnavailable if some candidate order has
+    no primitive root in the field, since the classification could not be
+    certified there.
     """
     ctx = form.context
     d = form.degree
-    on_curve = form.vanishes_at(point)
+    moved = _move_to_origin(form, point)
+    _, G, _ = moved
+    # F(point) is G(1:0:0), the coefficient of X^d in G = F(B x)
+    on_curve = (d, 0, 0) not in G.terms
     deg_pi = d - 1 if on_curve else d
     candidates = [n for n in range(2, deg_pi + 1) if deg_pi % n == 0]
     for n in candidates:
@@ -237,7 +262,7 @@ def classify_point(form, point):
             raise RootOfUnityUnavailable(n, ctx.conductor, ctx.suggested_conductor(n))
     found = {}
     for n in candidates:
-        h = solve_homology(form, point, ctx.root_of_unity(n), n)
+        h = _solve_moved(moved, point, ctx.root_of_unity(n), n)
         if h is not None:
             found[n] = h
     if not found:

@@ -309,3 +309,86 @@ def test_restrict_to_pencil_degree():
     # F(s*e1 + t*e2) = s^4 + t^4 for the diagonal quartic
     assert coeffs[0].is_one() and coeffs[4].is_one()
     assert all(coeffs[m].is_zero() for m in (1, 2, 3))
+
+
+def _kernel_contexts():
+    """Conductors 3, 4, 24 and 28, and the quadratic extension of quartic_xy a=6."""
+    return [FieldContext(n) for n in (3, 4, 24, 28)] + [
+        catalog.make("quartic_xy", a=6).context
+    ]
+
+
+def random_element(ctx, rng):
+    """A sparse element with small rational coordinates, including l-parts."""
+    return ctx.from_coords(
+        [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4 else 0
+            for _ in range(ctx.dim)
+        ]
+    )
+
+
+def random_kernel_form(ctx, rng, degree, dense):
+    terms = {
+        (i, j, degree - i - j): random_element(ctx, rng)
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+        if dense or rng.random() < 0.25
+    }
+    terms[(degree, 0, 0)] = ctx.from_int(rng.randint(1, 3))
+    return HomoPoly(ctx, degree, terms)
+
+
+def random_kernel_matrix(ctx, rng, kind):
+    """Sparse or dense rows; 'singular', 'rank1' and 'zero_row' degenerate them."""
+    density = rng.choice([0.4, 1.0])
+    rows = [
+        [random_element(ctx, rng) if rng.random() < density else ctx.zero() for _ in range(3)]
+        for _ in range(3)
+    ]
+    if kind == "singular":
+        rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+    elif kind == "rank1":
+        scales = [random_element(ctx, rng) for _ in range(3)]
+        rows = [[s * a for a in rows[0]] for s in scales]
+    elif kind == "zero_row":
+        rows[rng.randrange(3)] = [ctx.zero()] * 3
+    return ProjMatrix(ctx, rows)
+
+
+def test_pullback_evaluates_as_the_form_at_the_moved_vector():
+    # F(M x) at x equals F at the raw product M x (before canonical scaling)
+    rng = random.Random(97)
+    for ctx in _kernel_contexts():
+        for degree in range(4, 9):
+            for kind in ("general", "singular", "rank1", "zero_row"):
+                f = random_kernel_form(ctx, rng, degree, dense=rng.random() < 0.5)
+                m = random_kernel_matrix(ctx, rng, kind)
+                g = f.pullback(m)
+                assert g.degree == degree
+                for _ in range(2):
+                    x = [random_element(ctx, rng) for _ in range(3)]
+                    mx = [sum((a * b for a, b in zip(row, x)), ctx.zero()) for row in m.rows]
+                    assert g.evaluate(x) == f.evaluate(mx)
+
+
+def test_restrict_to_pencil_evaluates_as_the_form_on_the_pencil():
+    # sum c_m s^(d-m) t^m equals F(sP + tQ) at random (s, t)
+    rng = random.Random(101)
+    for ctx in _kernel_contexts():
+        for degree in (4, 6, 8):
+            f = random_kernel_form(ctx, rng, degree, dense=rng.random() < 0.5)
+            for _ in range(3):
+                p, q = (
+                    ProjPoint(ctx, [random_element(ctx, rng) for _ in range(2)] + [ctx.one()])
+                    for _ in range(2)
+                )
+                coeffs = f.restrict_to_pencil(p, q)
+                assert len(coeffs) == degree + 1
+                s, t = random_element(ctx, rng), random_element(ctx, rng)
+                binary = sum(
+                    (c * s ** (degree - m) * t ** m for m, c in enumerate(coeffs)),
+                    ctx.zero(),
+                )
+                point = [s * a + t * b for a, b in zip(p.coords, q.coords)]
+                assert binary == f.evaluate(point)

@@ -205,3 +205,35 @@ def test_generator_preserves_the_curve():
                 continue
             pulled = form.pullback(rec.generator.matrix)
             assert pulled.proportional_to(form)
+
+
+def test_classify_point_moves_the_point_once(monkeypatch):
+    # an outer point of the Hessian sextic has candidate orders 2, 3 and 6;
+    # F is pulled back by the base change once, not once per order
+    form = catalog.make("hessian_sextic").curve.form
+    point = ProjPoint.from_ints(form.context, (0, 1, 0))
+    sources = []
+    original = HomoPoly.pullback
+
+    def counting(self, matrix):
+        sources.append(self)
+        return original(self, matrix)
+
+    monkeypatch.setattr(HomoPoly, "pullback", counting)
+    rec = classify_point(form, point)
+    assert rec.kind == "outer" and rec.projection_degree == 6
+    assert sum(src is form for src in sources) == 1
+
+
+def test_census_generators_round_trip_through_homology_from_matrix(evaluations):
+    # every generator a catalog census finds is recognized with the center,
+    # axis and order that classify_point reported
+    checked = 0
+    for ev in evaluations.values():
+        for rec in ev.report.quasi_galois_points():
+            h = homology_from_matrix(rec.generator.matrix)
+            assert h.center == rec.point == rec.generator.center
+            assert h.axis == rec.generator.axis
+            assert h.order == rec.order == rec.generator.order
+            checked += 1
+    assert checked > 0
