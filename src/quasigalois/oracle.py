@@ -16,6 +16,21 @@ reads.  One evaluation reads F and its three partials at the homology images
 of the samples from one gather of a power table, and keeps the gradient for
 the last point, where lmder next asks for the Jacobian.
 
+A start stops at the first evaluation whose residual norm is below
+s = min(tol, 1e-3 * cluster_tol), and its center is read at that point.  The
+converged set is that of lmder's full run.  lmder accepts a trial step when
+ratio = actred / prered >= 1e-4 (Moré 1978), where actred = 1 - |f_trial|^2 /
+|f|^2 and prered = 1 - |f + J p|^2 / |f|^2 <= 1 for the Levenberg-Marquardt
+step p.  Accepted norms never increase, and lmder returns the last accepted
+point.  So a start that never evaluates below s is lmder's full run.  A
+trial below s has actred >= 1e-4, and is accepted, whenever the current norm
+is at least 1.00005 s; the full run then ends below s <= tol.  Only a current
+norm in [s, 1.00005 s) lets such a trial be rejected, and the full run may
+then end in that window, above tol when s = tol.  A stopped center lies
+within about 1e-9 of the polished one, far inside ``cluster_tol``, and
+polishing converged starts from 1e-9 down to 1e-15 would cost about a fifth
+of all residual evaluations.
+
 Determinism: all randomness flows from one integer seed; the starts are
 pre-generated up front and the results merged in a canonical order.  lmder
 itself is not bit-reproducible: its iterates depend on the memory alignment
@@ -158,11 +173,15 @@ OracleCensus = namedtuple("OracleCensus", "count centers diagnostics")
 
 
 def _fubini_study(p, q):
-    inner = np.vdot(p, q)
-    cos2 = (inner * inner.conjugate()).real / (
-        (np.vdot(p, p).real) * (np.vdot(q, q).real)
-    )
-    return math.sqrt(max(0.0, 1.0 - min(1.0, cos2)))
+    """The sine of the angle between the lines through p and q.
+
+    Read off the part of q orthogonal to p, which resolves angles down to
+    the rounding of the coordinates; sqrt(1 - cos^2) cannot go below about
+    2e-8, the square root of the double epsilon.
+    """
+    p = p / np.linalg.norm(p)
+    q = q / np.linalg.norm(q)
+    return float(np.linalg.norm(q - np.vdot(p, q) * p))
 
 
 def _proportionality_samples(degree, k):
@@ -197,16 +216,30 @@ def _proportionality_samples(degree, k):
     return pts
 
 
+class _Converged(Exception):
+    """A residual evaluation fell below the stop threshold at ``params``."""
+
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+
 class _Search:
     """Shared data for one census run: curve, samples, gradient, fixed zeta.
 
     The evaluation rounds exactly as forming M = I + (zeta - 1) center
     axis^T / (axis . center), y = samples M^T, and evaluating F and each
     partial as its own NumericCurve; a differently rounded one moves the
-    starts that end near ``tol``.
+    starts that end near ``tol``.  The power table stays ``**`` and the 3x3
+    algebra stays in numpy: npy_cpow and Python complex arithmetic round
+    differently from numpy's array multiply.
+
+    A non-degenerate residual of norm below ``stop`` raises ``_Converged``
+    (``stop=0`` never does).
     """
 
-    def __init__(self, num, n, seed, starts):
+    def __init__(self, num, n, seed, starts, stop=0.0):
+        self.stop2 = stop * stop
         self.zeta = cmath.exp(2j * cmath.pi / n)
         rng = np.random.default_rng(seed)
         k = (num.degree + 1) * (num.degree + 2) // 2 + 5
@@ -237,9 +270,10 @@ class _Search:
     def set_chart(self, chart):
         cp, cl = chart
         # the four free coordinates of center and axis, side by side
-        self.free = np.array(
-            [i for i in range(3) if i != cp] + [3 + i for i in range(3) if i != cl]
-        )
+        self.fp = np.array([i for i in range(3) if i != cp])
+        self.fl = np.array([i for i in range(3) if i != cl])
+        self.free = np.concatenate([self.fp, 3 + self.fl])
+        self.samples_fl = self.samples[:, self.fl]
         self.memo_key = None
 
     def assemble(self, params):
@@ -255,7 +289,7 @@ class _Search:
         center, axis = self.assemble(params)
         denom = axis @ center
         k = len(self.samples)
-        size = max(1.0, float(np.abs(center).max() * np.abs(axis).max()))
+        size = max(1.0, max(map(abs, center.tolist())) * max(map(abs, axis.tolist())))
         if abs(denom) < 1e-9 * size:
             self.memo = None
             res = np.full(2 * k, 1e3)
@@ -263,8 +297,7 @@ class _Search:
             m = self.eye + (self.zeta - 1.0) * (center[:, None] * axis) / denom
             y = self.samples @ m.T
             table = (y[:, :, None] ** self.powers).reshape(k, -1)
-            g0, g1, g2 = self.gather
-            mono = table[:, g0] * table[:, g1] * table[:, g2]
+            mono = table[:, self.gather].prod(axis=1)
             # contiguous blocks: BLAS rounds a strided block differently
             g, *grad = [np.ascontiguousarray(mono[:, b]) @ c for b, c in self.terms]
             grad = np.stack(grad, axis=1)
@@ -272,6 +305,8 @@ class _Search:
             scale = np.vdot(self.f_samples, g) / self.f_norm2
             r = g - scale * self.f_samples
             res = np.concatenate([r.real, r.imag])
+            if res @ res < self.stop2:
+                raise _Converged(params.copy())
         self.memo_key, self.memo_res = key, res
         return res
 
@@ -285,19 +320,17 @@ class _Search:
         if params.tobytes() != self.memo_key:
             self.residual(params)
         k = len(self.samples)
-        out = np.zeros((2 * k, 8))
         if self.memo is None:
-            return out
+            return np.zeros((2 * k, 8))
         center, axis, denom, grad = self.memo
         t = self.samples @ axis  # (k,)
         gp = grad @ center  # (k,) gradient dotted with the center
         w = (self.zeta - 1.0) / denom
-        fp, fl = self.free[:2], self.free[2:] - 3
+        fp, fl = self.fp, self.fl
         jac = np.empty((k, 4), dtype=complex)
         jac[:, :2] = (w * t)[:, None] * (grad[:, fp] - (axis[fp] / denom) * gp[:, None])
-        jac[:, 2:] = (
-            w * (self.samples[:, fl] - center[fl] * t[:, None] / denom) * gp[:, None]
-        )
+        jac[:, 2:] = w * (self.samples_fl - center[fl] * t[:, None] / denom) * gp[:, None]
+        out = np.empty((2 * k, 8))
         out[:k, :4] = jac.real
         out[:k, 4:] = -jac.imag
         out[k:, :4] = jac.imag
@@ -322,25 +355,30 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
     """
     if n < 2:
         raise ValueError("the homology order must be at least 2")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if not cluster_tol > 0:
-        raise ValueError("cluster tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be positive and finite")
+    if not (cluster_tol > 0 and math.isfinite(cluster_tol)):
+        raise ValueError("cluster tolerance must be positive and finite")
     if starts < 0:
         raise ValueError("the number of starts must be nonnegative")
     num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
-    search = _Search(num, n, seed, starts)
+    search = _Search(num, n, seed, starts, stop=min(tol, 1e-3 * cluster_tol))
     converged = []
     n_conv = 0
     for idx in range(starts):
         search.set_chart((idx % 3, (idx // 3) % 3))
-        x, info, _ier = _lmder(
-            search.residual, search.jacobian, search.starts[idx].flatten(), *_LMDER_ARGS
-        )
-        if np.linalg.norm(info["fvec"]) < tol:
-            n_conv += 1
-            center, _axis = search.assemble(x)
-            converged.append(center / np.linalg.norm(center))
+        try:
+            x, info, _ier = _lmder(
+                search.residual, search.jacobian, search.starts[idx].flatten(), *_LMDER_ARGS
+            )
+        except _Converged as stop:
+            x = stop.params
+        else:
+            if not np.linalg.norm(info["fvec"]) < tol:
+                continue
+        n_conv += 1
+        center, _axis = search.assemble(x)
+        converged.append(center / np.linalg.norm(center))
     clusters = []  # (representative, radius)
     for center in converged:
         placed = False

@@ -1,5 +1,7 @@
 """Orbit-closed censuses: tallies, pairs, triples, normalization."""
 
+import random
+
 import pytest
 
 from quasigalois import (
@@ -16,6 +18,7 @@ from quasigalois import (
     census,
     classify_point,
     find_triples,
+    group_closure,
     has_pair_normal_support,
     is_mutual_pair,
     make_pair,
@@ -319,3 +322,39 @@ def test_census_is_invariant_under_galois_conjugation(name, params, form_moves):
             ProjPoint(ctx, [_conjugate(c, k) for c in p.coords]) for p in inst.seeds
         ]
         assert _tallies(census(conjugate, seeds)) == expected
+
+
+def _unimodular(ctx, rng):
+    """A random ProjMatrix with integer entries in -2..2 and determinant +-1."""
+    while True:
+        m = ProjMatrix.from_ints(ctx, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+        det = m.det()
+        if det.is_one() or (-det).is_one():
+            return m
+
+
+def test_census_is_invariant_under_a_change_of_coordinates(evaluations):
+    # F(Mx) = 0 has the quasi-Galois points M^-1 P of F = 0, each with the
+    # generator M^-1 G M, so a census from the moved seeds must give the
+    # same tallies and closure orders
+    rng = random.Random(8128)
+    for name, ev in evaluations.items():
+        inst, report = ev.instance, ev.report
+        for _ in range(2):
+            m = _unimodular(inst.context, rng)
+            inv = m.inverse()
+            moved = PlaneCurve(inst.curve.form.pullback(m))
+            moved_report = census(moved, [inv.apply_to_point(p) for p in inst.seeds])
+            assert _tallies(moved_report) == _tallies(report), name
+            for p, rec in report.records.items():
+                if rec.generator is not None:
+                    gen = moved_report.records[inv.apply_to_point(p)].generator
+                    assert gen.matrix.proj_eq(inv * rec.generator.matrix * m), (name, p)
+            qg = moved_report.quasi_galois_points()
+            gens = {
+                "g3": [r.generator.matrix for r in qg if r.order % 3 == 0],
+                "generators": [r.generator.matrix for r in qg],
+            }
+            for key in gens.keys() & ev.groups.keys():
+                closure = group_closure(gens[key], cap=1000, curve=moved)
+                assert len(closure) == len(ev.groups[key]), (name, key)

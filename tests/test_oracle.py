@@ -163,6 +163,27 @@ def test_numeric_census_rejects_nan_tolerances_and_negative_starts():
             numeric_census(inst.curve, 2, **args)
 
 
+def test_numeric_census_rejects_infinite_tolerances():
+    inst = catalog.make("fermat_quartic")
+    for kwargs in ({"tol": float("inf")}, {"cluster_tol": float("inf")}):
+        with pytest.raises(ValueError):
+            numeric_census(inst.curve, 2, starts=10, **kwargs)
+
+
+def test_fubini_study_resolves_angles_far_below_the_square_root_of_epsilon():
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=3) + 1j * rng.normal(size=3)
+    p /= np.linalg.norm(p)
+    u = np.cross(p.conjugate(), rng.normal(size=3))  # vdot(p, u) = 0
+    u /= np.linalg.norm(u)
+    for eps in (1e-12, 1e-9, 1e-6):
+        # the distance is the sine of the angle, for any scale and phase of q
+        q = (2.0 - 3j) * (p + eps * u)
+        assert abs(oracle._fubini_study(p, q) - eps) <= 1e-3 * eps
+    assert oracle._fubini_study(p, 1j * p) <= 1e-15
+    assert abs(oracle._fubini_study(p, u) - 1.0) <= 1e-15
+
+
 def _realified_image(num, samples, zeta, chart, x):
     """F(M samples) for the homology M of the chart's parameters, realified."""
     cx = x[:4] + 1j * x[4:]
@@ -288,3 +309,62 @@ def test_small_census_matches_the_pinned_run():
     overlap = np.abs(np.array([[np.vdot(p, c) for c in found] for p in pinned]))
     assert (overlap.max(axis=1) >= 1 - 1e-12).all()
     assert sorted(overlap.argmax(axis=1)) == list(range(len(found)))
+
+
+@pytest.mark.parametrize(
+    "name, n", [("quartic_klein", 2), ("sextic_delta8", 6), ("hessian_sextic", 6)]
+)
+def test_evaluation_rounds_exactly_like_the_reference_on_the_other_plan_pairs(name, n):
+    test_evaluation_rounds_exactly_like_the_reference(name, n)
+
+
+def _counted(fcn):
+    def residual(x):
+        residual.calls += 1
+        return fcn(x)
+
+    residual.calls = 0
+    return residual
+
+
+@pytest.mark.parametrize(
+    "name, n, starts", [("fermat_quartic", 2, 60), ("sextic_delta8", 3, 40)]
+)
+def test_early_stop_keeps_the_full_lmder_run_start_by_start(name, n, starts, monkeypatch):
+    # numeric_census stops a start at its first residual below tol; lmder run
+    # to its own end must converge on exactly the same starts, to the same
+    # centers, after more residual evaluations
+    num = numeric_curve(catalog.make(name).curve)
+    tol = 1e-9
+    lmder = oracle._lmder
+    stopped = []  # (converged, point, residual evaluations) per start
+
+    def recording(fcn, jac, x0, *args):
+        counted = _counted(fcn)
+        try:
+            out = lmder(counted, jac, x0, *args)
+        except oracle._Converged as stop:
+            stopped.append((True, stop.params, counted.calls))
+            raise
+        stopped.append((np.linalg.norm(out[1]["fvec"]) < tol, out[0], counted.calls))
+        return out
+
+    monkeypatch.setattr(oracle, "_lmder", recording)
+    result = numeric_census(num, n, starts=starts, seed=0, tol=tol)
+    assert len(stopped) == starts
+    assert result.diagnostics["converged"] == sum(c for c, _, _ in stopped)
+
+    search = oracle._Search(num, n, seed=0, starts=starts)
+    full_calls = 0
+    for idx, (converged, point, _) in enumerate(stopped):
+        search.set_chart((idx % 3, (idx // 3) % 3))
+        counted = _counted(search.residual)
+        x, info, _ier = lmder(
+            counted, search.jacobian, search.starts[idx].flatten(), *oracle._LMDER_ARGS
+        )
+        full_calls += counted.calls
+        assert (np.linalg.norm(info["fvec"]) < tol) == converged, (name, idx)
+        if converged:
+            center, full = search.assemble(point)[0], search.assemble(x)[0]
+            assert oracle._fubini_study(center, full) < 1e-8, (name, idx)
+    assert sum(calls for _, _, calls in stopped) < full_calls
