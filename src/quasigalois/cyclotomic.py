@@ -8,6 +8,14 @@ arithmetic with a single gcd-normalization per operation.  Inversion uses the
 same kernel: the inverse is the product of the nontrivial Galois conjugates
 sigma_k(e) (zeta -> zeta^k) divided by the rational norm.
 
+Sums of products (matrix entries, point images, minors, form values) go
+through one kernel, FieldContext.dot: it adds the convolutions of all the
+numerators over the lcm of the product denominators, then reduces modulo
+Phi_N and normalizes once.  Reduction modulo Phi_N is linear, so the reduced
+sum equals the sum of the reduced products, and (nums, den) in lowest terms
+with den > 0 is a unique normal form; the result is therefore identical, bit
+for bit, to the left-to-right sum of separately normalized products.
+
 A context may carry one formal square root l with l^2 = c for a chosen base
 element c.  The quotient ring K[l]/(l^2 - c) is used without deciding whether
 c is a square in K: if it is not, the ring is a field and nothing special ever
@@ -240,6 +248,41 @@ class FieldContext:
         if self.lambda_sq is not None:
             raise ValueError("context already carries a quadratic extension")
         return FieldContext(self.conductor, lambda_sq=c)
+
+    # -- sums of products ---------------------------------------------------
+
+    def dot(self, xs, ys):
+        """Sum of xs[i] * ys[i] over the shorter of two element sequences.
+
+        Plain contexts reduce and normalize once for the whole sum (see the
+        module docstring); extended contexts add up products one at a time.
+        """
+        if self.lambda_sq is not None:
+            acc = self._zero
+            for x, y in zip(xs, ys):
+                acc = acc + x * y
+            return acc
+        sig = self.signature
+        pairs = []
+        den = 1
+        for x, y in zip(xs, ys):
+            for e in (x, y):
+                if e.context is not self and e.context.signature != sig:
+                    raise ValueError("elements from incompatible contexts")
+            d = x.den * y.den
+            den = den * d // gcd(den, d)
+            pairs.append((x.nums, y.nums, d))
+        m = self.degree
+        acc = [0] * (2 * m - 1)
+        for a, b, d in pairs:
+            f = den // d
+            b = [(j, v) for j, v in enumerate(b) if v]
+            for i, u in enumerate(a):
+                if u:
+                    u *= f
+                    for j, v in b:
+                        acc[i + j] += u * v
+        return _make(self, tuple(_reduce_mod(acc, self.modulus)), den)
 
     # -- roots of unity -----------------------------------------------------
 

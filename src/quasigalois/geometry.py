@@ -5,6 +5,12 @@ equal to 1) so that equality and hashing are projective.  Ternary forms are
 sparse exponent dictionaries; restriction to a line produces a binary form in
 a parametrization by two canonical spanning points, from which intersection
 multiplicities and full intersection profiles are computed exactly.
+
+Every entry of a matrix product, point or line image, 2x2 minor (cross
+products, determinant, adjugate) and every value of a line or form at a point
+is one call of the context's sum-of-products kernel (FieldContext.dot), which
+normalizes once per sum and returns the same element as adding the products
+one at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ def _canonicalize(coords):
 
 
 def _cross(a, b):
-    """Cross product of two coordinate triples."""
+    """Cross product of two coordinate triples, each entry one 2x2 minor."""
+    dot = a[0].context.dot
     return [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        dot((a[1], a[2]), (b[2], -b[1])),
+        dot((a[2], a[0]), (b[0], -b[2])),
+        dot((a[0], a[1]), (b[1], -b[0])),
     ]
 
 
@@ -107,10 +114,7 @@ class ProjLine:
         return cls(p.context, _cross(p.coords, q.coords))
 
     def evaluate(self, point):
-        return sum(
-            (c * x for c, x in zip(self.coeffs, point.coords)),
-            self.context.zero(),
-        )
+        return self.context.dot(self.coeffs, point.coords)
 
     def contains(self, point):
         return self.evaluate(point).is_zero()
@@ -200,73 +204,44 @@ class ProjMatrix:
     def __mul__(self, other):
         if not isinstance(other, ProjMatrix):
             return NotImplemented
-        a, b = self.rows, other.rows
+        dot = self.context.dot
+        cols = list(zip(*other.rows))
         return ProjMatrix(
-            self.context,
-            [
-                [
-                    a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ],
+            self.context, [[dot(row, col) for col in cols] for row in self.rows]
         )
 
     def det(self):
         r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return self.context.dot(r[0], _cross(r[1], r[2]))
 
     def adjugate(self):
+        """Transposed cofactors: column j is the cross product of the other two rows."""
         r = self.rows
-        cof = [
-            [
-                r[1][1] * r[2][2] - r[1][2] * r[2][1],
-                r[0][2] * r[2][1] - r[0][1] * r[2][2],
-                r[0][1] * r[1][2] - r[0][2] * r[1][1],
-            ],
-            [
-                r[1][2] * r[2][0] - r[1][0] * r[2][2],
-                r[0][0] * r[2][2] - r[0][2] * r[2][0],
-                r[0][2] * r[1][0] - r[0][0] * r[1][2],
-            ],
-            [
-                r[1][0] * r[2][1] - r[1][1] * r[2][0],
-                r[0][1] * r[2][0] - r[0][0] * r[2][1],
-                r[0][0] * r[1][1] - r[0][1] * r[1][0],
-            ],
-        ]
-        return ProjMatrix(self.context, cof)
+        cols = (_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1]))
+        return ProjMatrix(self.context, list(zip(*cols)))
 
     def inverse(self):
-        d = self.det()
+        adj = self.adjugate()
+        # Laplace expansion along row 0 reuses the adjugate's first column
+        d = self.context.dot(self.rows[0], [row[0] for row in adj.rows])
         if d.is_zero():
             raise ZeroDivisionError("matrix is singular")
         inv = d.inverse()
-        adj = self.adjugate()
         return ProjMatrix(
             self.context, [[c * inv for c in row] for row in adj.rows]
         )
 
     def apply_to_point(self, point):
-        r = self.rows
+        dot = self.context.dot
         x = point.coords
-        return ProjPoint(
-            self.context,
-            [r[i][0] * x[0] + r[i][1] * x[1] + r[i][2] * x[2] for i in range(3)],
-        )
+        return ProjPoint(self.context, [dot(row, x) for row in self.rows])
 
     def apply_to_line(self, line):
         """Image of a line under the point action x -> Mx (covector * M^-1)."""
-        minv = self.inverse()
+        dot = self.context.dot
         a = line.coeffs
-        r = minv.rows
         return ProjLine(
-            self.context,
-            [a[0] * r[0][j] + a[1] * r[1][j] + a[2] * r[2][j] for j in range(3)],
+            self.context, [dot(a, col) for col in zip(*self.inverse().rows)]
         )
 
     def canonical_key(self):
@@ -458,10 +433,10 @@ class HomoPoly:
         px = _powers(x, d, ctx.one())
         py = _powers(y, d, ctx.one())
         pz = _powers(z, d, ctx.one())
-        acc = ctx.zero()
-        for (i, j, k), c in self.terms.items():
-            acc = acc + c * px[i] * py[j] * pz[k]
-        return acc
+        return ctx.dot(
+            self.terms.values(),
+            [px[i] * py[j] * pz[k] for i, j, k in self.terms],
+        )
 
     def vanishes_at(self, point):
         return self.evaluate(point).is_zero()

@@ -112,11 +112,8 @@ def order_histogram(group):
 
 
 def _raw_apply(matrix, coords):
-    r = matrix.rows
-    return [
-        r[i][0] * coords[0] + r[i][1] * coords[1] + r[i][2] * coords[2]
-        for i in range(3)
-    ]
+    dot = matrix.context.dot
+    return [dot(row, coords) for row in matrix.rows]
 
 
 def _line_coordinates(line, s1, s2, vec):
@@ -124,7 +121,7 @@ def _line_coordinates(line, s1, s2, vec):
     j = next(i for i, c in enumerate(line.coeffs) if not c.is_zero())
     k1, k2 = [i for i in range(3) if i != j]
     s, t = vec[k1], vec[k2]
-    if vec[j] != s * s1.coords[j] + t * s2.coords[j]:
+    if vec[j] != line.context.dot((s, t), (s1.coords[j], s2.coords[j])):
         raise LineNotPreserved("the image vector does not lie on the line")
     return s, t
 

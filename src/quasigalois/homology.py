@@ -76,9 +76,7 @@ def homology_matrix(center, axis, zeta):
     center must not lie on the axis.
     """
     ctx = center.context
-    denom = sum(
-        (a * p for a, p in zip(axis.coeffs, center.coords)), ctx.zero()
-    )
+    denom = axis.evaluate(center)
     if denom.is_zero():
         raise ValueError("the center lies on the axis; not a homology")
     factor = (zeta - ctx.one()) * denom.inverse()
@@ -189,11 +187,7 @@ def _solve_moved(moved, point, zeta, order):
     binv = B.inverse()
     matrix = B * m_local * binv
     v = (zeta - one, b, c)
-    axis_coeffs = [
-        v[0] * binv.rows[0][j] + v[1] * binv.rows[1][j] + v[2] * binv.rows[2][j]
-        for j in range(3)
-    ]
-    axis = ProjLine(ctx, axis_coeffs)
+    axis = ProjLine(ctx, [ctx.dot(v, col) for col in zip(*binv.rows)])
     n = order if order is not None else multiplicative_order(zeta)
     return Homology(matrix, point, axis, zeta, n)
 

@@ -380,3 +380,14 @@ def test_verify_paper_json_digest_is_unchanged(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "c0f017e6cf49d97d3de1c2ccfd62f5dee8cb9acb1fc16fabc66f8609a013837e"
     )
+
+
+def test_verify_paper_with_the_oracle_agrees_on_its_cheapest_case(capsys):
+    # the default verify-paper path: exact checks, then the numeric oracle
+    assert main(["verify-paper", "--case", "quartic_symmetric", "--format", "json", "--seed", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (case,) = payload["cases"]
+    assert case["passed"] is True
+    assert case["oracle"], "the oracle ran no order"
+    assert all(o["agrees"] for o in case["oracle"])
+    assert case["warnings"] == []

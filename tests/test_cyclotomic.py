@@ -217,3 +217,73 @@ def test_galois_conjugation_is_a_ring_map_fixing_the_rationals():
                 b = random_element(ctx, rng)
                 assert _conjugate(a + b, k) == _conjugate(a, k) + _conjugate(b, k)
                 assert _conjugate(a * b, k) == _conjugate(a, k) * _conjugate(b, k)
+
+
+def _left_to_right(ctx, xs, ys):
+    acc = ctx.zero()
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _sparse_element(ctx, rng):
+    """A random element with some zero coordinates and a random denominator."""
+    if rng.random() < 0.2:
+        return ctx.zero()
+    coords = [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7, 9)))
+        if rng.random() < 0.7
+        else Fraction(0)
+        for _ in range(ctx.dim)
+    ]
+    return ctx.from_coords(coords)
+
+
+def _dot_contexts():
+    contexts = [FieldContext(n) for n in (1, 3, 4, 8, 24, 28)]
+    contexts.append(FieldContext(4).extend_sqrt(FieldContext(4).from_coords([2, 1])))
+    return contexts
+
+
+def test_dot_equals_left_to_right_sum_of_products():
+    rng = random.Random(20261018)
+    for ctx in _dot_contexts():
+        for length in range(5):
+            for _ in range(12):
+                xs = [_sparse_element(ctx, rng) for _ in range(length)]
+                ys = [_sparse_element(ctx, rng) for _ in range(length)]
+                got = ctx.dot(xs, ys)
+                want = _left_to_right(ctx, xs, ys)
+                assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_dot_of_a_cancelling_sum_is_the_normalized_zero():
+    rng = random.Random(7)
+    for ctx in _dot_contexts():
+        for _ in range(8):
+            a, b, c = (_sparse_element(ctx, rng) for _ in range(3))
+            # a*b + c*a - b*a - a*c = 0, with denominators that do not cancel early
+            got = ctx.dot([a, c, -b, -a], [b, a, a, c])
+            assert got.is_zero()
+            assert got.den == 1
+            assert got.nums == ctx.zero().nums
+
+
+def test_dot_accepts_compatible_contexts_and_rejects_incompatible_ones():
+    rng = random.Random(11)
+    ctx = FieldContext(8)
+    twin = FieldContext(8)
+    xs = [random_element(ctx, rng) for _ in range(3)]
+    ys = [random_element(twin, rng) for _ in range(3)]
+    want = _left_to_right(ctx, xs, ys)
+    got = ctx.dot(xs, ys)
+    assert (got.nums, got.den) == (want.nums, want.den)
+    other = FieldContext(12)
+    ext = ctx.extend_sqrt(ctx.from_int(-2))
+    for bad in (other.one(), ext.one()):
+        with pytest.raises(ValueError):
+            ctx.dot([ctx.one(), bad], [ctx.one(), ctx.one()])
+        with pytest.raises(ValueError):
+            ctx.dot([ctx.one()], [bad])
+    with pytest.raises(ValueError):
+        ext.dot([ext.one()], [other.one()])

@@ -392,3 +392,131 @@ def test_restrict_to_pencil_evaluates_as_the_form_on_the_pencil():
                 )
                 point = [s * a + t * b for a, b in zip(p.coords, q.coords)]
                 assert binary == f.evaluate(point)
+
+
+# The element-by-element formulas that the sum-of-products kernel replaced.
+# Each must agree bit for bit with the rewired method, since every field
+# element has one normal form.
+
+
+def _old_cross(a, b):
+    return [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
+
+
+def _old_matmul(a, b):
+    return [
+        [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _old_det(r):
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
+
+
+def _old_adjugate(r):
+    return [
+        [
+            r[1][1] * r[2][2] - r[1][2] * r[2][1],
+            r[0][2] * r[2][1] - r[0][1] * r[2][2],
+            r[0][1] * r[1][2] - r[0][2] * r[1][1],
+        ],
+        [
+            r[1][2] * r[2][0] - r[1][0] * r[2][2],
+            r[0][0] * r[2][2] - r[0][2] * r[2][0],
+            r[0][2] * r[1][0] - r[0][0] * r[1][2],
+        ],
+        [
+            r[1][0] * r[2][1] - r[1][1] * r[2][0],
+            r[0][1] * r[2][0] - r[0][0] * r[2][1],
+            r[0][0] * r[1][1] - r[0][1] * r[1][0],
+        ],
+    ]
+
+
+def _old_inverse(r):
+    inv = _old_det(r).inverse()
+    return [[c * inv for c in row] for row in _old_adjugate(r)]
+
+
+def _old_image(r, x):
+    return [r[i][0] * x[0] + r[i][1] * x[1] + r[i][2] * x[2] for i in range(3)]
+
+
+def _old_line_image(r, a):
+    minv = _old_inverse(r)
+    return [a[0] * minv[0][j] + a[1] * minv[1][j] + a[2] * minv[2][j] for j in range(3)]
+
+
+def _old_evaluate(f, x):
+    d = f.degree
+    ctx = f.context
+    powers = []
+    for v in x:
+        p = [ctx.one()]
+        for _ in range(d):
+            p.append(p[-1] * v)
+        powers.append(p)
+    acc = ctx.zero()
+    for (i, j, k), c in f.terms.items():
+        acc = acc + c * powers[0][i] * powers[1][j] * powers[2][k]
+    return acc
+
+
+def _keys(rows):
+    return [[c.key() for c in row] for row in rows]
+
+
+def _nonzero_triple(ctx, rng):
+    while True:
+        x = [random_element(ctx, rng) for _ in range(3)]
+        if any(not c.is_zero() for c in x):
+            return x
+
+
+def test_sum_of_products_kernel_matches_the_elementwise_formulas():
+    rng = random.Random(20261018)
+    contexts = [FieldContext(4), FieldContext(28), catalog.make("quartic_xy", a=6).context]
+    for ctx in contexts:
+        for kind in ("general", "general", "singular", "rank1", "zero_row"):
+            m = random_kernel_matrix(ctx, rng, kind)
+            n = random_kernel_matrix(ctx, rng, "general")
+            r = m.rows
+            assert _keys((m * n).rows) == _keys(_old_matmul(r, n.rows))
+            assert m.det().key() == _old_det(r).key()
+            assert _keys(m.adjugate().rows) == _keys(_old_adjugate(r))
+            x = _nonzero_triple(ctx, rng)
+            image = _old_image(r, x)
+            if any(not c.is_zero() for c in image):
+                assert m.apply_to_point(ProjPoint(ctx, x)).key() == ProjPoint(ctx, image).key()
+            f = random_kernel_form(ctx, rng, rng.choice((4, 6)), dense=rng.random() < 0.5)
+            assert f.evaluate(x).key() == _old_evaluate(f, x).key()
+            p, q = ProjPoint(ctx, x), ProjPoint(ctx, _nonzero_triple(ctx, rng))
+            line = ProjLine(ctx, _nonzero_triple(ctx, rng))
+            old_value = sum((c * v for c, v in zip(line.coeffs, p.coords)), ctx.zero())
+            assert line.evaluate(p).key() == old_value.key()
+            if p != q:
+                assert ProjLine.through(p, q).key() == ProjLine(
+                    ctx, _old_cross(p.coords, q.coords)
+                ).key()
+            other = ProjLine(ctx, _nonzero_triple(ctx, rng))
+            if line != other:
+                assert line.meet(other).key() == ProjPoint(
+                    ctx, _old_cross(line.coeffs, other.coeffs)
+                ).key()
+            if kind != "general" or _old_det(r).is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
+                continue
+            assert _keys(m.inverse().rows) == _keys(_old_inverse(r))
+            assert m.apply_to_line(line).key() == ProjLine(
+                ctx, _old_line_image(r, line.coeffs)
+            ).key()
