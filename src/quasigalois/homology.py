@@ -9,20 +9,27 @@ itself, and together with the identity they form a cyclic group.  A point is
 quasi-Galois when that group is nontrivial, and Galois when its order equals
 the projection degree (deg C for P off the curve, deg C - 1 for P on it).
 
-The solver moves P to (1:0:0), expands the form as sum_i X^i * A_(d-i)(Y,Z),
-and uses the fact that invariance under (X, Y, Z) -> (zeta X + bY + cZ, Y, Z)
-forces the scalar to be zeta^m (m the largest X-degree) and pins (b, c) down
-through the linear identity m*(bY+cZ)*A_(d-m) = (zeta-1)*A_(d-m+1); the
-candidate is then verified by one exact pullback.  classify_point moves P
-once and solves every candidate order on that one moved form, whose X^d
-coefficient F(P) also decides whether P is on the curve; each candidate that
-passes the linear step is still verified by its own exact pullback.  Testing
-a single primitive n-th root per candidate order n is complete because all
-homologies with center P share an axis and form a cyclic group, so an element
-of order n exists iff one with the chosen primitive ratio does.
+The solver reads the axis off the polars of P (I. Dolgachev, Classical
+Algebraic Geometry: A Modern View, 2012, section 1.1).  In coordinates where
+a homology of order n >= 2 with center P is X -> zeta X, every X-degree of
+F is congruent to the top one mod n.  Off the curve the top degree is d, so
+F has no X^(d-1) term and the axis is the polar line t . x = 0, with
+t = grad F(P); Euler's identity t . P = d F(P) decides which case holds.  On
+the curve the top degree is d - 1, so F has no X^(d-2) term and the polar
+conic x^T Hess F(P) x is the tangent line times the axis: with t_k != 0 and
+H = Hess F(P) the axis is 2 H[:, k] - (H_kk / t_k) t.  One pullback G = F(B x) =
+sum_i X^i * A_i(Y, Z), with B's columns P and two points spanning the axis,
+then settles the order: the homology with that axis and ratio zeta maps G to
+sum_i zeta^i X^i A_i, a multiple of G exactly when zeta^(m - i) = 1 for
+every i with A_i != 0 (m the top X-degree).  So the group of homologies at P
+is cyclic of order g = gcd{m - i : A_i != 0}, generated by the homology with
+a primitive g-th root as ratio, and g divides the projection degree m unless
+the axis is a component of the curve (A_0 = 0).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import (
     InvariantViolation,
@@ -92,36 +99,32 @@ def homology_matrix(center, axis, zeta):
     return ProjMatrix(ctx, rows)
 
 
-def _standard_basis_point(ctx, k):
-    coords = [ctx.zero(), ctx.zero(), ctx.zero()]
-    coords[k] = ctx.one()
-    return ProjPoint(ctx, coords)
+def _axis_and_order(form, point):
+    """(on_curve, axis, g) at a point, by the solver of the module docstring.
 
-
-def _move_to_origin(form, point):
-    """Base change B moving (1:0:0) to `point`, G = F(B x) and G's X-degree buckets.
-
-    B's first column is the point and its others are the two standard basis
-    vectors off the point's pivot.  Buckets map i to A_(d-i)(Y, Z) of
-    G = sum_i X^i * A_(d-i)(Y, Z), stored as a dense list indexed by the
-    Z-exponent.
+    The inner axis a never passes through the point, so B is invertible:
+    H P = (d - 1) t and t . P = 0 give a . P = 2 (d - 1) t_k != 0.
     """
     ctx = form.context
-    d = form.degree
-    piv = next(i for i, c in enumerate(point.coords) if not c.is_zero())
-    others = [k for k in range(3) if k != piv]
-    cols = [point] + [_standard_basis_point(ctx, k) for k in others]
-    B = ProjMatrix.from_columns(*cols)
-    G = form.pullback(B)
-    zero = ctx.zero()
-    buckets = {}
-    for (i, j, k), c in G.terms.items():
-        arr = buckets.get(i)
-        if arr is None:
-            arr = [zero] * (d - i + 1)
-            buckets[i] = arr
-        arr[k] = c
-    return B, G, buckets
+    t = form.gradient_at(point)
+    on_curve = ctx.dot(t, point.coords).is_zero()  # t . P = d * F(P)
+    k = next((i for i, c in enumerate(t) if not c.is_zero()), None)
+    if k is None:
+        raise ValueError(
+            "the curve is singular at the point; classification applies to "
+            "smooth curves only"
+        )
+    if on_curve:
+        h = form.partial(k).gradient_at(point)  # column k of Hess F(P)
+        s = h[k] * t[k].inverse()
+        two = ctx.from_int(2)
+        axis = ProjLine(ctx, [two * h[j] - s * t[j] for j in range(3)])
+    else:
+        axis = ProjLine(ctx, t)
+    G = form.pullback(ProjMatrix.from_columns(point, *axis.spanning_points()))
+    degrees = {i for i, _, _ in G.terms}
+    m = max(degrees)
+    return on_curve, axis, gcd(*(m - i for i in degrees))
 
 
 def solve_homology(form, point, zeta, order=None):
@@ -129,67 +132,25 @@ def solve_homology(form, point, zeta, order=None):
 
     Returns a Homology, or None when no such map exists.  `zeta` must be
     different from 1; `order` (its multiplicative order) is computed when not
-    supplied.
+    supplied.  The axis is read off the polars of the point (I. Dolgachev,
+    Classical Algebraic Geometry: A Modern View, 2012, section 1.1), and the
+    map exists exactly when zeta^g = 1 for g = gcd{m - i : A_i != 0} of one
+    pullback in coordinates adapted to the point and the axis (see the module
+    docstring); it is then the homology with that axis and ratio `zeta`.
     """
-    if zeta == form.context.one():
+    ctx = form.context
+    if zeta == ctx.one():
         raise ValueError("the ratio of a homology is different from 1")
-    return _solve_moved(_move_to_origin(form, point), point, zeta, order)
-
-
-def _solve_moved(moved, point, zeta, order):
-    """solve_homology on a form already moved by _move_to_origin."""
-    B, G, buckets = moved
-    ctx = G.context
-    one = ctx.one()
-    zero = ctx.zero()
-    d = G.degree
-    m = max(buckets, default=0)
-    if m == 0:
-        raise ValueError(
-            "the form is a cone with vertex at the point; classification "
-            "applies to smooth curves only"
-        )
-    if order is not None and m % order != 0:
+    on_curve, axis, g = _axis_and_order(form, point)
+    deg_pi = form.degree - 1 if on_curve else form.degree
+    if order is not None and deg_pi % order != 0:
         raise OrderNotDividing(
-            f"order {order} does not divide the projection degree {m}"
+            f"order {order} does not divide the projection degree {deg_pi}"
         )
-    a_top = buckets[m]  # degree d - m, not identically zero
-    a_next = buckets.get(m - 1, [zero] * (d - m + 2))
-    if all(c.is_zero() for c in a_next):
-        b = zero
-        c = zero
-    else:
-        # solve (bY + cZ) * a_top = ((zeta - 1)/m) * a_next coefficient-wise:
-        # target_s = b * a_top[s] + c * a_top[s-1]
-        scalar = (zeta - one) * ctx.from_int(m).inverse()
-        target = [scalar * v for v in a_next]
-
-        def at(arr, s):
-            return arr[s] if 0 <= s < len(arr) else zero
-
-        s0 = next(s for s, v in enumerate(a_top) if not v.is_zero())
-        inv = a_top[s0].inverse()
-        b = at(target, s0) * inv
-        c = (at(target, s0 + 1) - b * at(a_top, s0 + 1)) * inv
-        for s in range(len(target)):
-            if target[s] != b * at(a_top, s) + c * at(a_top, s - 1):
-                return None
-    m_local = ProjMatrix(
-        ctx,
-        [
-            [zeta, b, c],
-            [zero, one, zero],
-            [zero, zero, one],
-        ],
-    )
-    if G.pullback(m_local) != G.scale(zeta ** m):
+    if zeta ** g != ctx.one():
         return None
-    binv = B.inverse()
-    matrix = B * m_local * binv
-    v = (zeta - one, b, c)
-    axis = ProjLine(ctx, [ctx.dot(v, col) for col in zip(*binv.rows)])
     n = order if order is not None else multiplicative_order(zeta)
-    return Homology(matrix, point, axis, zeta, n)
+    return Homology(homology_matrix(point, axis, zeta), point, axis, zeta, n)
 
 
 class PointRecord:
@@ -236,45 +197,39 @@ class PointRecord:
 def classify_point(form, point):
     """Order and generator of the group of homologies at a point.
 
-    Moves the point to (1:0:0) once, then tries every order n >= 2 dividing
-    the projection degree on that one moved form; the group being cyclic, the
-    successful orders must be exactly the divisors > 1 of the maximum, which
-    is asserted.  Raises RootOfUnityUnavailable if some candidate order has
-    no primitive root in the field, since the classification could not be
-    certified there.
+    The axis comes from the polars of the point (I. Dolgachev, Classical
+    Algebraic Geometry: A Modern View, 2012, section 1.1) and the order g from
+    one pullback in coordinates adapted to the point and the axis (see the
+    module docstring); g is a proof, so the generator, the homology with that
+    axis and a primitive g-th root as ratio, needs no confirming pullback.
+    Raises RootOfUnityUnavailable if some candidate order (a divisor > 1 of
+    the projection degree) has no primitive root in the field, since the
+    classification could not be certified there.
     """
     ctx = form.context
-    d = form.degree
-    moved = _move_to_origin(form, point)
-    _, G, _ = moved
-    # F(point) is G(1:0:0), the coefficient of X^d in G = F(B x)
-    on_curve = (d, 0, 0) not in G.terms
-    deg_pi = d - 1 if on_curve else d
-    candidates = [n for n in range(2, deg_pi + 1) if deg_pi % n == 0]
-    for n in candidates:
-        if not ctx.root_of_unity_order_available(n):
+    on_curve, axis, g = _axis_and_order(form, point)
+    deg_pi = form.degree - 1 if on_curve else form.degree
+    for n in range(2, deg_pi + 1):
+        if deg_pi % n == 0 and not ctx.root_of_unity_order_available(n):
             raise RootOfUnityUnavailable(n, ctx.conductor, ctx.suggested_conductor(n))
-    found = {}
-    for n in candidates:
-        h = _solve_moved(moved, point, ctx.root_of_unity(n), n)
-        if h is not None:
-            found[n] = h
-    if not found:
-        return PointRecord(point, on_curve, deg_pi, 1, None, None)
-    order = max(found)
-    if set(found) != {n for n in candidates if order % n == 0}:
+    if g == 0 or deg_pi % g != 0:
         raise InvariantViolation(
-            "homology orders at a point must be the divisors of the maximum"
+            "the order of the homologies at a point must divide the projection "
+            "degree; the axis is a component of the curve"
         )
+    if g == 1:
+        return PointRecord(point, on_curve, deg_pi, 1, None, None)
+    zeta = ctx.root_of_unity(g)
+    generator = Homology(homology_matrix(point, axis, zeta), point, axis, zeta, g)
     tangency = None
     if on_curve:
         t = tangent_line(form, point)
         tangency = intersection_multiplicity(form, t, point)
-        if tangency % order != 1:
+        if tangency % g != 1:
             raise InvariantViolation(
                 "tangency order at an inner quasi-Galois point must be 1 mod n"
             )
-    return PointRecord(point, on_curve, deg_pi, order, found[order], tangency)
+    return PointRecord(point, on_curve, deg_pi, g, generator, tangency)
 
 
 def homology_from_matrix(matrix, order_cap=256):

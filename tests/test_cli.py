@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasigalois
 from quasigalois import catalog, curve_to_json
 from quasigalois import cli, serialize
 from quasigalois.cli import main
@@ -378,6 +383,24 @@ def test_verify_paper_json_digest_is_unchanged(capsys):
     out = capsys.readouterr().out
     assert (
         hashlib.sha256(out.encode()).hexdigest()
+        == "c0f017e6cf49d97d3de1c2ccfd62f5dee8cb9acb1fc16fabc66f8609a013837e"
+    )
+
+
+def test_verify_paper_json_digest_is_unchanged_under_python_O():
+    # invariants raise rather than assert, so optimized bytecode gives the
+    # same checks and the same bytes
+    src = str(Path(quasigalois.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["verify-paper", "--no-oracle", "--format", "json", "--seed", "0"]
+    code = "import sys; from quasigalois.cli import main; sys.exit(main(%r))" % argv
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert (
+        hashlib.sha256(run.stdout).hexdigest()
         == "c0f017e6cf49d97d3de1c2ccfd62f5dee8cb9acb1fc16fabc66f8609a013837e"
     )
 

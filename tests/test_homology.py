@@ -7,6 +7,7 @@ import pytest
 from quasigalois import (
     FieldContext,
     HomoPoly,
+    InvariantViolation,
     NotAHomology,
     OrderNotDividing,
     ProjLine,
@@ -15,9 +16,11 @@ from quasigalois import (
     classify_point,
     homology_from_matrix,
     homology_matrix,
+    intersection_multiplicity,
     multiplicative_order,
     projective_order,
     solve_homology,
+    tangent_line,
 )
 from quasigalois import catalog
 
@@ -169,6 +172,53 @@ def test_classify_point_inner_with_tangency_congruence():
     assert rec.tangency % rec.order == 1
 
 
+def _hyperflex_quartic():
+    # X^4 + Y^3 Z + Z^4: (0 : 1 : 0) is on the curve with tangent Z = 0, and
+    # Y -> zeta_3 Y is a homology with that center and axis Y = 0
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 3, 1): 1, (0, 0, 4): 1})
+    return form, ProjPoint.from_ints(ctx, (0, 1, 0))
+
+
+def test_inner_axis_is_the_conic_quotient():
+    form, p = _hyperflex_quartic()
+    ctx = form.context
+    rec = classify_point(form, p)
+    assert rec.kind == "inner"
+    assert rec.projection_degree == 3
+    assert rec.order == 3 and rec.is_galois
+    assert rec.generator.axis == ProjLine.from_ints(ctx, (0, 1, 0))
+    assert rec.tangency == 4
+    direct = solve_homology(form, p, ctx.root_of_unity(3))
+    assert direct is not None and direct.matrix == rec.generator.matrix
+
+
+def test_inner_point_without_homology():
+    # (1 : zeta_8 : 0) is a hyperflex of the Fermat quartic (tangency 4, so
+    # 1 mod 3), yet no homology of order 3 has its center there
+    ctx = FieldContext(24)
+    form = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    p = ProjPoint(ctx, [ctx.one(), ctx.root_of_unity(8), ctx.zero()])
+    assert intersection_multiplicity(form, tangent_line(form, p), p) == 4
+    rec = classify_point(form, p)
+    assert rec.kind == "inner"
+    assert rec.order == 1
+    assert rec.generator is None and rec.tangency is None
+    assert solve_homology(form, p, ctx.root_of_unity(3)) is None
+
+
+def test_order_not_dividing_the_projection_degree_is_an_invariant_violation():
+    # X (X^3 + Y^3 + Z^3) contains the polar line X = 0 of (1 : 0 : 0), and
+    # X -> zeta_3 X preserves it although 3 does not divide 4
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (1, 3, 0): 1, (1, 0, 3): 1})
+    p = ProjPoint.from_ints(ctx, (1, 0, 0))
+    h = solve_homology(form, p, ctx.root_of_unity(3))
+    assert h is not None and h.axis == ProjLine.from_ints(ctx, (1, 0, 0))
+    with pytest.raises(InvariantViolation, match="must divide the projection degree"):
+        classify_point(form, p)
+
+
 def test_classify_point_matches_solve_homology_generator():
     hessian = catalog.make("hessian_sextic").curve.form
     ctx = hessian.context
@@ -223,6 +273,122 @@ def test_classify_point_moves_the_point_once(monkeypatch):
     rec = classify_point(form, point)
     assert rec.kind == "outer" and rec.projection_degree == 6
     assert sum(src is form for src in sources) == 1
+
+
+def _generic_sextic_point():
+    form = catalog.make("hessian_sextic").curve.form
+    return form, ProjPoint.from_ints(form.context, (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "case, kind, order", [(_generic_sextic_point, "outer", 1), (_hyperflex_quartic, "inner", 3)]
+)
+def test_classify_point_pulls_back_once(monkeypatch, case, kind, order):
+    # an order-1 point and an inner point are also settled by one pullback
+    form, point = case()
+    sources = []
+    original = HomoPoly.pullback
+
+    def counting(self, matrix):
+        sources.append(self)
+        return original(self, matrix)
+
+    monkeypatch.setattr(HomoPoly, "pullback", counting)
+    rec = classify_point(form, point)
+    assert (rec.kind, rec.order) == (kind, order)
+    assert sum(src is form for src in sources) == 1
+
+
+def _parent_classify(form, point):
+    """The earlier solver: move the point to (1:0:0), solve for (b, c), pull back.
+
+    Returns (order, on_curve, generator matrix, axis, tangency).  In the moved
+    form G = sum_i X^i * A_i(Y, Z) with top X-degree m, the homology
+    (X, Y, Z) -> (zeta X + bY + cZ, Y, Z) needs m (bY + cZ) A_m = (zeta - 1)
+    A_(m-1), and each candidate order is confirmed by its own pullback.
+    """
+    ctx = form.context
+    d = form.degree
+    zero, one = ctx.zero(), ctx.one()
+    piv = next(i for i, c in enumerate(point.coords) if not c.is_zero())
+    basis = [ProjPoint(ctx, [one if i == k else zero for i in range(3)]) for k in range(3)]
+    B = ProjMatrix.from_columns(point, *[basis[k] for k in range(3) if k != piv])
+    G = form.pullback(B)
+    buckets = {}
+    for (i, _, k), c in G.terms.items():
+        buckets.setdefault(i, [zero] * (d - i + 1))[k] = c
+    on_curve = d not in buckets
+    m = max(buckets)
+    a_top = buckets[m]
+    a_next = buckets.get(m - 1, [zero] * (d - m + 2))
+
+    def at(arr, s):
+        return arr[s] if 0 <= s < len(arr) else zero
+
+    found = {}
+    for n in range(2, m + 1):
+        if m % n:
+            continue
+        zeta = ctx.root_of_unity(n)
+        target = [(zeta - one) * ctx.from_int(m).inverse() * v for v in a_next]
+        s0 = next(s for s, v in enumerate(a_top) if not v.is_zero())
+        b = at(target, s0) * a_top[s0].inverse()
+        c = (at(target, s0 + 1) - b * at(a_top, s0 + 1)) * a_top[s0].inverse()
+        if any(target[s] != b * at(a_top, s) + c * at(a_top, s - 1) for s in range(len(target))):
+            continue
+        local = ProjMatrix(ctx, [[zeta, b, c], [zero, one, zero], [zero, zero, one]])
+        if G.pullback(local) == G.scale(zeta ** m):
+            found[n] = (zeta, b, c, local)
+    if not found:
+        return 1, on_curve, None, None, None
+    order = max(found)
+    zeta, b, c, local = found[order]
+    binv = B.inverse()
+    axis = ProjLine(ctx, [ctx.dot((zeta - one, b, c), col) for col in zip(*binv.rows)])
+    tangency = None
+    if on_curve:
+        tangency = intersection_multiplicity(form, tangent_line(form, point), point)
+    return order, on_curve, B * local * binv, axis, tangency
+
+
+def _unimodular(ctx, rng):
+    while True:
+        m = ProjMatrix.from_ints(ctx, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+        if m.det().is_one() or (-m.det()).is_one():
+            return m
+
+
+def test_classify_point_agrees_with_the_parent_solver(evaluations):
+    cases = []
+    for ev in evaluations.values():
+        if ev.report is not None:
+            form = ev.instance.curve.form
+            cases.extend((form, p) for p in ev.report.records)
+    rng = random.Random(4099)
+    for name in ("hessian_sextic", "quartic_klein"):
+        form = catalog.make(name).curve.form
+        cases.extend((form, random_point(form.context, rng)) for _ in range(12))
+    for name in ("quartic_symmetric", "quartic_5family"):
+        inst = catalog.make(name)
+        m = _unimodular(inst.context, rng)
+        inv = m.inverse()
+        form = inst.curve.form.pullback(m)
+        cases.extend((form, inv.apply_to_point(p)) for p in inst.seeds)
+    inner_form, inner_point = _hyperflex_quartic()
+    cases.append((inner_form, inner_point))
+    cases.append((inner_form, ProjPoint.from_ints(inner_form.context, (0, -1, 1))))
+    qg = 0
+    for form, p in cases:
+        rec = classify_point(form, p)
+        order, on_curve, matrix, axis, tangency = _parent_classify(form, p)
+        assert (rec.order, rec.on_curve, rec.tangency) == (order, on_curve, tangency), p
+        if matrix is None:
+            assert rec.generator is None, p
+        else:
+            assert rec.generator.matrix == matrix, p
+            assert rec.generator.axis == axis, p
+            qg += 1
+    assert qg > 100
 
 
 def test_census_generators_round_trip_through_homology_from_matrix(evaluations):
