@@ -318,11 +318,9 @@ def _build_quartic_symmetric(params):
         ctx = a.context
     else:
         a = _rational_param({"a": a}, "a", 1)
-        if a == 0:
-            raise ParameterViolation(
-                "a = 0 is the plain Fermat quartic; use fermat_quartic"
-            )
         ctx = FieldContext(4)
+    if a == 0:
+        raise ParameterViolation("a = 0 is the plain Fermat quartic; use fermat_quartic")
     curve = PlaneCurve(
         _form(
             ctx,

@@ -1,12 +1,12 @@
 """Seed-driven census of quasi-Galois points: orbit closure, pairs, counts.
 
-Starting from seed points, the census classifies each point and closes the
-point set under every homology generator found, applying each generator to
-each point exactly once (images of quasi-Galois points under curve
-automorphisms are again quasi-Galois with conjugated groups).  It then records mutual pairs — two points whose
-generators fix each other's center — the triangles they form, the per-order
-tallies delta[n] (points on the curve with group order exactly n) and
-delta_prime[n] (points off the curve), and a certification status:
+Starting from seed points, the census classifies the seeds and closes them
+into their orbit under the homologies found there (an automorphism h of the
+curve maps the group at P onto the group at h(P)).  It records mutual pairs
+— two points whose generators fix each other's center, read off the axes as
+a homology fixes just its center and axis — the triangles they form, the
+per-order tallies delta[n] (points on the curve with group order exactly n)
+and delta_prime[n] (points off the curve), and a certification status:
 
 - "certified" when the count of outer points of order >= n attains the sharp
   upper bound (for sextics the flex-driven bound delta_prime[>=3] <= 12, for
@@ -27,52 +27,48 @@ from .homology import classify_point
 
 
 def orbit_expand(form, seeds, cap=10000):
-    """Classify seeds and close the point set under all discovered homologies.
+    """Classify seeds and close them into their orbit under their generators.
 
-    Each generator is applied to each point exactly once: a newly classified
-    point gets the generators already known, and a newly found generator is
-    applied to every point classified so far.  Returns an insertion-ordered
-    dict mapping each point to its PointRecord.  Raises ClosureCapExceeded
-    when more than `cap` points appear.
+    One breadth-first pass applies each generator found at a seed to each
+    point in the order found.  A point q = h(s) has G_q = h G_s h^-1 inside
+    the group the seed generators span, so the orbit is closed under the
+    generator at each of its points.  An image g(p) keeps p's order and
+    locus, which is checked.  Returns an insertion-ordered dict, seeds first,
+    of PointRecords; raises ClosureCapExceeded when over `cap` points appear.
     """
-    records = {}
-    generators = []
     points = list(dict.fromkeys(seeds))
-    seen = set(points)
-
-    def add_image(g, p):
-        q = g.apply_to_point(p)
-        if q not in seen:
-            seen.add(q)
-            points.append(q)
-
+    if len(points) > cap:
+        raise ClosureCapExceeded(cap)
+    records = {p: classify_point(form, p) for p in points}
+    generators = [r.generator.matrix for r in records.values() if r.is_quasi_galois]
     for p in points:  # grows while it is iterated
-        if len(records) >= cap:
-            raise ClosureCapExceeded(cap)
-        rec = classify_point(form, p)
-        records[p] = rec
+        rec = records[p]
         for g in generators:
-            add_image(g, p)
-        if rec.is_quasi_galois:
-            g = rec.generator.matrix
-            generators.append(g)
-            for r in records:
-                add_image(g, r)
+            q = g.apply_to_point(p)
+            if q in records:
+                continue
+            if len(records) >= cap:
+                raise ClosureCapExceeded(cap)
+            image = classify_point(form, q)
+            if (image.order, image.on_curve) != (rec.order, rec.on_curve):
+                raise InvariantViolation("an image keeps its point's order and locus")
+            records[q] = image
+            points.append(q)
     return records
 
 
 def is_mutual_pair(rec1, rec2):
     """Do the generators at two quasi-Galois points fix each other's center?
 
-    The relation is symmetric for homologies preserving the same smooth
-    curve, which is asserted.  Raises SamePoint on equal points.
+    Each must lie on the other's axis, a relation symmetric for homologies
+    preserving one smooth curve (asserted).  Raises SamePoint on equal points.
     """
     if rec1.point == rec2.point:
         raise SamePoint("a pair needs two distinct points")
     if not (rec1.is_quasi_galois and rec2.is_quasi_galois):
         return False
-    f12 = rec1.generator.matrix.apply_to_point(rec2.point) == rec2.point
-    f21 = rec2.generator.matrix.apply_to_point(rec1.point) == rec1.point
+    f12 = rec1.generator.axis.contains(rec2.point)
+    f21 = rec2.generator.axis.contains(rec1.point)
     if f12 != f21:
         raise InvariantViolation("mutual fixing must be symmetric")
     return f12

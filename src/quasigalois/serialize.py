@@ -101,9 +101,10 @@ def field_from_json(data, path="field", max_conductor=None):
     base = FieldContext(conductor)
     if "lambda_sq" not in data:
         return base
-    lam = element_from_json(
-        data["lambda_sq"], path=path + ".lambda_sq", context=base
-    )
+    where = path + ".lambda_sq"
+    lam = element_from_json(data["lambda_sq"], path=where, context=base)
+    if lam.is_zero():
+        raise SchemaError(where, "lambda_sq must be nonzero")
     return base.extend_sqrt(lam)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quasigalois import (
+    FieldContext,
     NotSmooth,
     ParameterViolation,
     ProjMatrix,
@@ -77,6 +78,10 @@ def test_parameter_value_gates():
         catalog.make("quartic_5family", a=3, b=3)
     with pytest.raises(ParameterViolation):
         catalog.make("quartic_5family", a=3, b=-3)
+    # a field element a = 0 is the plain Fermat quartic, as is the integer 0
+    for conductor in (4, 8):
+        with pytest.raises(ParameterViolation):
+            catalog.make("quartic_symmetric", a=FieldContext(conductor).zero())
 
 
 def test_singular_parameter_values_rejected():

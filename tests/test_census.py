@@ -1,6 +1,7 @@
 """Orbit-closed censuses: tallies, pairs, triples, normalization."""
 
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from quasigalois import (
     NotAGPair,
     PlaneCurve,
     PointRecord,
+    ProjLine,
     ProjMatrix,
     ProjPoint,
     SamePoint,
@@ -102,22 +104,26 @@ def test_orbit_expand_closes_under_generators():
             assert rec.generator.matrix.apply_to_point(p) in pts
 
 
-def test_orbit_expand_applies_each_generator_to_each_point_once(monkeypatch):
-    inst = catalog.make("fermat_quartic")
-    ctx = inst.context
-    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
-    original = ProjMatrix.apply_to_point
-    calls = []
-
+def _counting(calls, original):
     def counting(self, point):
         calls.append(point)
         return original(self, point)
 
-    monkeypatch.setattr(ProjMatrix, "apply_to_point", counting)
+    return counting
+
+
+def test_orbit_expand_applies_each_seed_generator_to_each_point_once(monkeypatch):
+    inst = catalog.make("fermat_quartic")
+    ctx = inst.context
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+    calls = []
+    monkeypatch.setattr(
+        ProjMatrix, "apply_to_point", _counting(calls, ProjMatrix.apply_to_point)
+    )
     expanded = orbit_expand(inst.curve.form, seeds)
-    generators = [r for r in expanded.values() if r.is_quasi_galois]
-    assert len(expanded) == 15 and len(generators) == 15
-    assert len(calls) == 15 * 15
+    seed_generators = [s for s in seeds if expanded[s].is_quasi_galois]
+    assert len(expanded) == 15 and len(seed_generators) == 5
+    assert len(calls) == 15 * 5
 
 
 def test_pair_graph_tests_each_pair_once(monkeypatch):
@@ -125,18 +131,113 @@ def test_pair_graph_tests_each_pair_once(monkeypatch):
     ctx = inst.context
     seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
     records = orbit_expand(inst.curve.form, seeds)
-    original = ProjMatrix.apply_to_point
-    calls = []
-
-    def counting(self, point):
-        calls.append(point)
-        return original(self, point)
-
-    monkeypatch.setattr(ProjMatrix, "apply_to_point", counting)
+    applied, contained = [], []
+    monkeypatch.setattr(
+        ProjMatrix, "apply_to_point", _counting(applied, ProjMatrix.apply_to_point)
+    )
+    monkeypatch.setattr(ProjLine, "contains", _counting(contained, ProjLine.contains))
     pairs = build_pair_graph(records)
     assert len(records) == 15 and len(pairs) == 21
-    # is_mutual_pair makes two point images per pair, and no pair is tested twice
-    assert len(calls) == 2 * (15 * 14 // 2)
+    # is_mutual_pair evaluates two axes per pair and applies no matrix, and
+    # no pair is tested twice
+    assert applied == []
+    assert len(contained) == 2 * (15 * 14 // 2)
+
+
+def _reference_orbit_expand(form, seeds):
+    """Closure under every generator found, new generators back-patched."""
+    records = {}
+    generators = []
+    points = list(dict.fromkeys(seeds))
+    seen = set(points)
+
+    def add_image(g, p):
+        q = g.apply_to_point(p)
+        if q not in seen:
+            seen.add(q)
+            points.append(q)
+
+    for p in points:
+        rec = classify_point(form, p)
+        records[p] = rec
+        for g in generators:
+            add_image(g, p)
+        if rec.is_quasi_galois:
+            g = rec.generator.matrix
+            generators.append(g)
+            for r in records:
+                add_image(g, r)
+    return records
+
+
+def _reference_pairs(records):
+    """Point pairs whose generator matrices fix each other's center."""
+    qg = [rec for rec in records.values() if rec.is_quasi_galois]
+    pairs = set()
+    for i, r1 in enumerate(qg):
+        for r2 in qg[i + 1 :]:
+            f12 = r1.generator.matrix.apply_to_point(r2.point) == r2.point
+            f21 = r2.generator.matrix.apply_to_point(r1.point) == r1.point
+            assert f12 == f21
+            if f12:
+                pairs.add(frozenset((r1.point, r2.point)))
+    return pairs
+
+
+def _assert_matches_reference(form, seeds, report):
+    expected = _reference_orbit_expand(form, seeds)
+    records = report.records
+    assert set(records) == set(expected)
+    n_seeds = len(set(seeds))
+    assert list(records)[:n_seeds] == list(expected)[:n_seeds]
+    for p, ref in expected.items():
+        rec = records[p]
+        assert (rec.order, rec.on_curve) == (ref.order, ref.on_curve), p
+        if ref.generator is None:
+            assert rec.generator is None, p
+        else:
+            assert rec.generator.matrix == ref.generator.matrix, p
+            assert rec.generator.axis == ref.generator.axis, p
+    got = {frozenset(pair.points()) for pair in report.pairs}
+    assert got == _reference_pairs(expected)
+
+
+def test_census_matches_the_closure_under_every_generator(evaluations):
+    for ev in evaluations.values():
+        inst = ev.instance
+        _assert_matches_reference(inst.curve.form, inst.seeds, ev.report)
+
+
+def test_moved_census_matches_the_closure_under_every_generator(evaluations):
+    # the moved members of test_census_is_invariant_under_a_change_of_coordinates
+    rng = random.Random(8128)
+    for ev in evaluations.values():
+        inst = ev.instance
+        for _ in range(2):
+            m = _unimodular(inst.context, rng)
+            inv = m.inverse()
+            form = inst.curve.form.pullback(m)
+            seeds = [inv.apply_to_point(p) for p in inst.seeds]
+            _assert_matches_reference(form, seeds, census(PlaneCurve(form), seeds))
+
+
+def test_an_image_of_another_order_violates_the_orbit_invariant(monkeypatch):
+    inst = catalog.make("fermat_quartic")
+    ctx = inst.context
+    form = inst.curve.form
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+    image = next(p for p in orbit_expand(form, seeds) if p not in seeds)
+
+    def lying(form, point):
+        rec = classify_point(form, point)
+        if point != image:
+            return rec
+        return PointRecord(point, rec.on_curve, rec.projection_degree, 1, None, None)
+
+    # the package exports the census function under the module's name
+    monkeypatch.setattr(sys.modules["quasigalois.census"], "classify_point", lying)
+    with pytest.raises(InvariantViolation):
+        orbit_expand(form, seeds)
 
 
 def test_groups_sharing_a_generator_violate_disjointness():

@@ -77,6 +77,15 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "exps" in err["error"]["path"]
 
 
+def test_zero_lambda_sq_is_a_schema_error(fermat_file, capsys):
+    data = json.loads(Path(fermat_file).read_text())
+    data["field"]["lambda_sq"] = {"conductor": 8, "coords": ["0", "0", "0", "0"]}
+    Path(fermat_file).write_text(json.dumps(data))
+    assert main(["smooth", "--curve", fermat_file, "--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"] == "curve.field.lambda_sq"
+
+
 def test_point_classification_text(fermat_file, capsys):
     assert main(["point", "--curve", fermat_file, "--point", "1,0,0"]) == 0
     out = capsys.readouterr().out
