@@ -290,6 +290,8 @@ def _cmd_oracle_census(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise SchemaError("--tol", "must be a positive finite number")
     curve = _load_curve(args)
+    if args.order > curve.degree:
+        raise SchemaError("--order", "must be at most the degree %d" % curve.degree)
     result = numeric_census(
         curve, args.order, starts=args.starts, tol=args.tol, seed=args.seed
     )

@@ -55,10 +55,6 @@ class OrderNotDividing(QuasiGaloisError):
     """Requested automorphism order does not divide the projection degree."""
 
 
-class DivisionNotExact(QuasiGaloisError):
-    """Exact polynomial division left a remainder (internal signal)."""
-
-
 class SamePoint(QuasiGaloisError):
     """Two distinct points were required."""
 

@@ -23,7 +23,6 @@ from .errors import (
     PointNotOnCurve,
     PointNotOnLine,
 )
-from .unipoly import UniPoly, squarefree_decomposition
 
 
 def _canonicalize(coords):
@@ -49,6 +48,28 @@ def _cross(a, b):
         dot((a[2], a[0]), (b[0], -b[2])),
         dot((a[0], a[1]), (b[1], -b[0])),
     ]
+
+
+def _gcd_coeffs(f, g):
+    """A gcd, up to a scalar, of two polynomials given as low-to-high lists.
+
+    Both lists end in a nonzero coefficient.  Euclid's algorithm: each
+    remainder subtracts multiples of the divisor, scaled by the inverse of
+    its leading coefficient, until the degree drops below the divisor's.
+    Returns the last nonzero remainder, which ends in a nonzero coefficient.
+    """
+    f, g = list(f), list(g)
+    while g:
+        inv = g[-1].inverse()
+        while len(f) >= len(g):
+            shift = len(f) - len(g)
+            c = f.pop() * inv
+            for j in range(len(g) - 1):
+                f[shift + j] = f[shift + j] - c * g[j]
+            while f and f[-1].is_zero():
+                f.pop()
+        f, g = g, f
+    return f
 
 
 def _powers(base, d, one):
@@ -551,25 +572,36 @@ def intersection_multiplicity(form, line, point):
 def line_profile(form, line):
     """Multiset of intersection multiplicities of the line with the curve.
 
-    Counts points over the algebraic closure: the restriction is factored by
-    squarefree decomposition, a factor of degree e at multiplicity m
-    contributing e geometric points of multiplicity m.  Returns a descending
-    tuple whose sum is deg(form).
+    Counts points over the algebraic closure.  On the chart s = 1 the
+    restriction is a polynomial f(t), and the deficiency d - deg f is the
+    multiplicity at (0:1) = S2.  The rest is read off a gcd chain: g_0 = f
+    and g_k = gcd(g_(k-1), f^(k)).  In characteristic 0 a root of f of
+    multiplicity m is a root of f, f', ..., f^(k) exactly when k < m, so
+    deg g_k = sum over the roots of max(m - k, 0), and deg g_(k-1) - deg g_k
+    counts the roots of multiplicity at least k.  Returns a descending tuple
+    whose sum is deg(form).
     """
     coeffs = form.restrict_to_line(line)
     if all(c.is_zero() for c in coeffs):
         raise LineContainedInCurve("the line lies entirely on the curve")
-    ctx = form.context
     d = form.degree
-    chart = UniPoly(ctx, coeffs)
-    # coeffs[m] multiplies s^(d-m) t^m, so as a polynomial in t (chart s = 1)
-    # the degree deficiency d - deg counts the multiplicity at (0:1) = S2.
+    # coeffs[m] multiplies s^(d-m) t^m
+    while coeffs[-1].is_zero():
+        coeffs.pop()
     mults = []
-    deficiency = d - chart.degree()
+    deficiency = d - (len(coeffs) - 1)
     if deficiency > 0:
         mults.append(deficiency)
-    for factor, mult in squarefree_decomposition(chart):
-        mults.extend([mult] * factor.degree())
+    at_least = []  # at_least[k - 1]: roots of multiplicity >= k
+    g = derivative = coeffs
+    while len(g) > 1:
+        derivative = [derivative[i] * i for i in range(1, len(derivative))]
+        nxt = _gcd_coeffs(g, derivative)
+        at_least.append(len(g) - len(nxt))
+        g = nxt
+    at_least.append(0)
+    for k in range(1, len(at_least)):
+        mults.extend([k] * (at_least[k - 1] - at_least[k]))
     if sum(mults) != d:
         raise InvariantViolation("a line meets the curve in deg(form) points")
     return tuple(sorted(mults, reverse=True))

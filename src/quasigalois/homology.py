@@ -235,34 +235,34 @@ def classify_point(form, point):
 def homology_from_matrix(matrix, order_cap=256):
     """Recognize a matrix as a homology; raises NotAHomology otherwise.
 
-    The characteristic polynomial must have a double eigenvalue nu and a
-    simple one mu with rank(M - nu I) = 1; then the axis is the row space of
-    M - nu I, the center spans the kernel of M - mu I, and the ratio is
-    mu / nu.
+    The characteristic polynomial t^3 - s1 t^2 + s2 t - s3 must have a double
+    eigenvalue nu and a simple one mu with rank(M - nu I) = 1; then the axis
+    is the row space of M - nu I, the center spans the kernel of M - mu I,
+    and the ratio is mu / nu.  The eigenvalues come in closed form: roots
+    nu, nu, mu give s1^2 - 3 s2 = (nu - mu)^2 and s1 s2 - 9 s3 =
+    2 nu (nu - mu)^2.  So s1^2 = 3 s2 rules out a homology (a triple root,
+    or distinct roots such as those of a 3-cycle); otherwise nu is the
+    quotient of the two, mu = s1 - 2 nu, and the candidate is kept only when
+    s2 = nu^2 + 2 nu mu and s3 = nu^2 mu hold exactly.
     """
-    from .unipoly import UniPoly, poly_gcd
-
     ctx = matrix.context
     r = matrix.rows
-    # characteristic polynomial det(tI - M) = t^3 - tr t^2 + c2 t - det
-    tr = r[0][0] + r[1][1] + r[2][2]
-    c2 = (
+    s1 = r[0][0] + r[1][1] + r[2][2]
+    s2 = (
         (r[1][1] * r[2][2] - r[1][2] * r[2][1])
         + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
         + (r[0][0] * r[1][1] - r[0][1] * r[1][0])
     )
-    det = matrix.det()
-    chi = UniPoly(ctx, [-det, c2, -tr, ctx.one()])
-    g = poly_gcd(chi, chi.derivative())
-    if g.degree() != 1:
+    s3 = matrix.det()
+    gap = s1 * s1 - 3 * s2
+    if gap.is_zero():
         raise NotAHomology(
             "a homology has exactly one repeated eigenvalue (multiplicity 2)"
         )
-    nu = -(g.coeff(0) * g.coeff(1).inverse())
-    quot = chi.exact_div(UniPoly(ctx, [-nu, ctx.one()]) ** 2)
-    mu = -(quot.coeff(0) * quot.coeff(1).inverse())
-    if mu == nu:
-        raise NotAHomology("all eigenvalues coincide")
+    nu = (s1 * s2 - 9 * s3) * (2 * gap).inverse()
+    mu = s1 - 2 * nu
+    if s2 != nu * nu + 2 * nu * mu or s3 != nu * nu * mu:
+        raise NotAHomology("the characteristic polynomial has no double root")
     # M - nu I must have rank exactly 1
     shifted = [
         [r[i][j] - (nu if i == j else ctx.zero()) for j in range(3)]

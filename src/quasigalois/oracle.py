@@ -352,6 +352,7 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
     centers are clustered in the Fubini-Study metric.  Returns the cluster
     count, canonical center representatives, and diagnostics.  Heuristic by
     construction; agreement with the exact census is evidence, not proof.
+    Raises ValueError for n < 2 and for n above the curve's degree.
     """
     if n < 2:
         raise ValueError("the homology order must be at least 2")
@@ -362,6 +363,9 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
     if starts < 0:
         raise ValueError("the number of starts must be nonnegative")
     num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
+    if n > num.degree:
+        # a homology order divides d or d - 1 on a smooth curve of degree d
+        raise ValueError("the homology order must be at most the degree")
     search = _Search(num, n, seed, starts, stop=min(tol, 1e-3 * cluster_tol))
     converged = []
     n_conv = 0

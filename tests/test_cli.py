@@ -256,6 +256,7 @@ def test_oracle_census_command(fermat_file, capsys):
         ("--starts", "-1"),
         ("--order", "1"),
         ("--order", "-3"),
+        ("--order", "5"),
         ("--tol", "0"),
         ("--tol", "-1e-9"),
         ("--tol", "nan"),

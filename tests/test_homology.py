@@ -403,3 +403,30 @@ def test_census_generators_round_trip_through_homology_from_matrix(evaluations):
             assert h.order == rec.order == rec.generator.order
             checked += 1
     assert checked > 0
+
+
+def test_homology_from_matrix_rejects_an_elation_and_a_jordan_block():
+    ctx = FieldContext(12)
+    # an elation has the triple eigenvalue 1, so s1^2 = 3 s2
+    with pytest.raises(NotAHomology):
+        homology_from_matrix(ProjMatrix.from_ints(ctx, ((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+    # nu = 2 passes the closed form, but rank(M - 2I) = 2
+    with pytest.raises(NotAHomology):
+        homology_from_matrix(ProjMatrix.from_ints(ctx, ((2, 1, 0), (0, 2, 0), (0, 0, 3))))
+
+
+def test_homology_from_matrix_recognizes_a_scaled_homology():
+    ctx = FieldContext(12)
+    rng = random.Random(3)
+    checked = 0
+    while checked < 10:
+        center = random_point(ctx, rng)
+        axis = ProjLine(ctx, random_point(ctx, rng).coords)
+        if axis.contains(center):
+            continue
+        n = rng.choice([2, 3, 4, 6, 12])
+        m = homology_matrix(center, axis, ctx.root_of_unity(n))
+        h = homology_from_matrix(ProjMatrix(ctx, [[3 * c for c in row] for row in m.rows]))
+        assert (h.center, h.axis, h.order) == (center, axis, n)
+        assert h.zeta == ctx.root_of_unity(n)
+        checked += 1

@@ -135,6 +135,8 @@ def test_numeric_census_validates_arguments():
     with pytest.raises(ValueError):
         numeric_census(inst.curve, 1, starts=10)
     with pytest.raises(ValueError):
+        numeric_census(inst.curve, 5, starts=10)
+    with pytest.raises(ValueError):
         numeric_census(inst.curve, 2, starts=10, tol=0.0)
 
 
