@@ -1,20 +1,15 @@
 """Finite matrix groups generated by homologies, and their action on a line.
 
-Closures are computed by breadth-first multiplication with deduplication up
-to scalar (projective equality); a finite set of invertible matrices closed
-under multiplication is automatically a group.  Given the smooth plane curve
-the generators preserve (checked by one exact pullback each), the group is
-finite, and over a plain cyclotomic field the closure deduplicates on the
-matrices' reductions mod a prime above a split prime (see ``modular``), so
-only the |G| - 1 new elements cost an exact product.  Without a curve, or
-over a quadratic extension, deduplication uses exact canonical keys, and an
-infinite group still exceeds the cap.  When every generator
-preserves a line, the restriction to that line in the coordinates of its two
-canonical spanning points is a 2x2 matrix, well defined up to scalar; the
-induced map is a group homomorphism, and its kernel size, image size and the
-image's element-order histogram identify the quotient (for example the
-histograms {1:1, 2:3, 3:8} and {1:1, 2:9, 3:8, 4:6} of the alternating and
-symmetric groups on four letters).
+A closure is Dimino's coset enumeration (G. Butler, Fundamental Algorithms
+for Permutation Groups, LNCS 559, 1991) on exact canonical keys, so
+matrices are told apart up to scalar.  An element's projective order is the
+least power that is a scalar matrix.  When every generator preserves a
+line, the restriction to that line in the coordinates of its two canonical
+spanning points is a 2x2 matrix, well defined up to scalar; the induced map
+is a group homomorphism, and its kernel size, image size and the image's
+element-order histogram identify the quotient (for example the histograms
+{1:1, 2:3, 3:8} and {1:1, 2:9, 3:8, 4:6} of the alternating and symmetric
+groups on four letters).
 """
 
 from __future__ import annotations
@@ -26,80 +21,95 @@ from .errors import (
     LineNotPreserved,
 )
 from .geometry import ProjMatrix, _canonicalize
-from .modular import choose_prime
 
 
 def group_closure(generators, cap=1000, curve=None):
-    """All products of the generators (a finite group), BFS order, with cap.
+    """The group generated by invertible matrices: the identity, then coset by coset.
 
-    With a smooth plane ``curve`` every generator must preserve it (else
-    CurveNotPreserved), which makes the group finite; over a plain cyclotomic
-    field the closure then deduplicates on fingerprints mod a prime.
+    A generator already in the group H found so far is skipped; a new one
+    grows H by whole right cosets H*x, so each element costs at most one
+    exact product, plus one per coset representative and generator used so
+    far.
+    A ``curve`` is only validated: every generator must preserve it (one
+    exact pullback each), else CurveNotPreserved.  A singular generator
+    raises ValueError, and ClosureCapExceeded is raised exactly when the
+    group has more than ``cap`` elements.
+
+    Why this is the group.  By induction, the elements found before a new
+    generator form the group H that the earlier ones generate.  From then on
+    the elements found are a union of right cosets H*r, one per
+    representative r, so an x = r*t outside the union starts a coset H*x
+    disjoint from it; a key seen twice raises InvariantViolation.  The stage
+    ends when r*t lies in the union for every representative r and used
+    generator t.  As (H*r)*t = H*(r*t), the union then contains 1 and is
+    closed under right multiplication by each used generator, so it holds
+    every product of them, and nothing else.  A finite set of invertible
+    matrices closed under products is a group (g^a = g^b gives
+    g^-1 = g^(b-a-1)), so it is the group they generate; an infinite group
+    runs past ``cap``.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    ctx = generators[0].context
     if curve is not None:
         form = curve.form
         for i, g in enumerate(generators):
             if not form.pullback(g).proportional_to(form):
                 raise CurveNotPreserved("generator %d does not preserve the curve" % i)
-        if ctx.lambda_sq is None:
-            return _fingerprint_closure(generators, cap)
-    identity = ProjMatrix.identity(ctx)
-    elements = [identity]
-    seen = {identity.canonical_key()}
-    for m in elements:  # grows while it is iterated
-        for g in generators:
-            nm = g * m
-            key = nm.canonical_key()
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(cap)
-                seen.add(key)
-                elements.append(nm)
-    return elements
-
-
-def _fingerprint_closure(generators, cap):
-    """The BFS of group_closure keyed by reduction mod a prime (modular.py).
-
-    The reduction is injective on a finite group, so the keys separate
-    exactly the elements that exact canonical keys separate, and an exact
-    product is formed only for a new element.
-    """
-    red = choose_prime(generators)
-    gen_prints = [red.fingerprint(g) for g in generators]
+    for i, g in enumerate(generators):
+        if g.det().is_zero():
+            raise ValueError("generator %d is singular" % i)
     identity = ProjMatrix.identity(generators[0].context)
     elements = [identity]
-    prints = [red.fingerprint(identity)]
-    seen = set(prints)
-    for k, m in enumerate(elements):  # grows while it is iterated
-        for g, fg in zip(generators, gen_prints):
-            key = red.product(fg, prints[k])
-            if key not in seen:
-                if len(seen) >= cap:
+    seen = {identity.canonical_key()}
+    used = []
+    for g in generators:
+        if g.canonical_key() in seen:
+            continue
+        used.append(g)
+        subgroup = list(elements)
+        reps = [identity]
+        for r in reps:  # grows while it is iterated
+            for t in used:
+                x = t if r is identity else r * t
+                if x.canonical_key() in seen:
+                    continue
+                if len(seen) + len(subgroup) > cap:
                     raise ClosureCapExceeded(cap)
-                seen.add(key)
-                elements.append(g * m)
-                prints.append(key)
+                reps.append(x)
+                for h in subgroup:
+                    y = x if h is identity else h * x
+                    key = y.canonical_key()
+                    if key in seen:
+                        raise InvariantViolation("right cosets of a subgroup must be disjoint")
+                    seen.add(key)
+                    elements.append(y)
     return elements
+
+
+def _is_scalar(rows):
+    """Whether a square matrix is zero off the diagonal with one nonzero diagonal value."""
+    d = rows[0][0]
+    return not d.is_zero() and all(
+        c == d if i == j else c.is_zero()
+        for i, row in enumerate(rows)
+        for j, c in enumerate(row)
+    )
+
+
+def _scalar_order(rows, dot, cap):
+    """Smallest k >= 1 with the square matrix's k-th power scalar."""
+    cols = list(zip(*rows))
+    acc = rows
+    for k in range(1, cap + 1):
+        if _is_scalar(acc):
+            return k
+        acc = [[dot(row, col) for col in cols] for row in acc]
+    raise ValueError("projective order exceeds cap")
 
 
 def projective_order(matrix, cap=1000):
     """Smallest k >= 1 with matrix^k a scalar matrix."""
-    identity_key = ProjMatrix.identity(matrix.context).canonical_key()
-    return _order_modulo(matrix, {identity_key}, cap)
-
-
-def _order_modulo(matrix, subgroup_keys, cap):
-    """Smallest k >= 1 with matrix^k in a subgroup given by canonical keys."""
-    acc = matrix
-    for k in range(1, cap + 1):
-        if acc.canonical_key() in subgroup_keys:
-            return k
-        acc = acc * matrix
-    raise ValueError("projective order exceeds cap")
+    return _scalar_order(matrix.rows, matrix.context.dot, cap)
 
 
 def order_histogram(group):
@@ -143,12 +153,6 @@ def _canon2(m2):
     return tuple(c.key() for c in _canonicalize((*m2[0], *m2[1])))
 
 
-def _is_scalar2(m2):
-    return (
-        m2[0][1].is_zero() and m2[1][0].is_zero() and m2[0][0] == m2[1][1]
-    )
-
-
 class LineActionReport:
     """Kernel size, image size and image order histogram of a line action."""
 
@@ -173,23 +177,23 @@ def line_action_analysis(group, line):
     """Restrict a matrix group to an invariant line and describe the quotient.
 
     Returns a LineActionReport; checks |G| = |kernel| * |image| as a
-    homomorphism sanity check.  The order of an image class is the least k
-    with m^k in the kernel, for any m in the class.
+    homomorphism sanity check.  The restriction is multiplicative up to
+    scalar, so the order of an image class is the least k with the k-th power
+    of its 2x2 restriction scalar.
     """
     images = {}
-    kernel = []
+    kernel_order = 0
     for m in group:
         r2 = restrict_to_line(m, line)
-        images.setdefault(_canon2(r2), m)
-        if _is_scalar2(r2):
-            kernel.append(m.canonical_key())
-    if len(kernel) * len(images) != len(group):
+        images.setdefault(_canon2(r2), r2)
+        kernel_order += _is_scalar(r2)
+    if kernel_order * len(images) != len(group):
         raise InvariantViolation(
             "line action must be a homomorphism: |G| = |kernel| * |image|"
         )
-    kernel_keys = set(kernel)
+    dot = line.context.dot
     histogram = {}
-    for m in images.values():
-        o = _order_modulo(m, kernel_keys, cap=len(group))
+    for r2 in images.values():
+        o = _scalar_order(r2, dot, cap=len(group))
         histogram[o] = histogram.get(o, 0) + 1
-    return LineActionReport(len(group), len(kernel), len(images), histogram)
+    return LineActionReport(len(group), kernel_order, len(images), histogram)

@@ -374,7 +374,10 @@ def group_to_json(group):
 
 
 def generators_from_json(data, path="generators", max_conductor=None):
-    """Parse a generator file: the group schema, ignoring order/histogram."""
+    """Parse a generator file: the group schema, ignoring order/histogram.
+
+    Every matrix must be invertible, as ``group_closure`` requires.
+    """
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object")
     unknown = set(data) - {"field", "matrices", "order", "histogram"}
@@ -388,10 +391,14 @@ def generators_from_json(data, path="generators", max_conductor=None):
     raw = data.get("matrices")
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path + ".matrices", "expected a nonempty list")
-    return [
-        matrix_from_json(m, context, path="%s.matrices[%d]" % (path, i))
-        for i, m in enumerate(raw)
-    ]
+    matrices = []
+    for i, m in enumerate(raw):
+        where = "%s.matrices[%d]" % (path, i)
+        matrix = matrix_from_json(m, context, path=where)
+        if matrix.det().is_zero():
+            raise SchemaError(where, "a generator must be invertible")
+        matrices.append(matrix)
+    return matrices
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,18 @@ def test_closure_rejects_generator_not_preserving_the_curve(fermat_file, tmp_pat
     assert "generator 1 does not preserve the curve" in capsys.readouterr().err
 
 
+def test_closure_rejects_a_singular_generator(fermat_file, tmp_path, capsys):
+    ctx = catalog.make("fermat_quartic").context
+    from quasigalois import ProjMatrix
+
+    singular = ProjMatrix.from_ints(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+    gpath = generator_file(tmp_path, [ProjMatrix.identity(ctx), singular])
+    args = ["closure", "--curve", fermat_file, "--generators", gpath, "--format", "json"]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"] == "generators.matrices[1]"
+
+
 def test_oracle_census_command(fermat_file, capsys):
     assert main(
         [

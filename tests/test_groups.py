@@ -1,5 +1,7 @@
 """Matrix group closures, projective orders, and line actions."""
 
+import random
+
 import pytest
 
 from quasigalois import (
@@ -7,6 +9,7 @@ from quasigalois import (
     CurveNotPreserved,
     FieldContext,
     LineNotPreserved,
+    PlaneCurve,
     ProjLine,
     ProjMatrix,
     group_closure,
@@ -14,7 +17,7 @@ from quasigalois import (
     order_histogram,
     projective_order,
 )
-from quasigalois import catalog, groups
+from quasigalois import catalog
 
 
 def diag(ctx, *entries):
@@ -148,15 +151,99 @@ def _catalog_closures(evaluations):
             yield name, key, sets[key], ev.instance.curve
 
 
-def test_fingerprint_closure_equals_exact_closure_on_catalog(evaluations):
+def _reference_closure(generators, cap=1000):
+    """Breadth-first closure on exact keys: every element times every generator."""
+    identity = ProjMatrix.identity(generators[0].context)
+    elements = [identity]
+    seen = {identity.canonical_key()}
+    for m in elements:  # grows while it is iterated
+        for g in generators:
+            nm = g * m
+            key = nm.canonical_key()
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(cap)
+                seen.add(key)
+                elements.append(nm)
+    return elements
+
+
+def _assert_same_group(group, reference, label):
+    keys = [m.canonical_key() for m in group]
+    assert len(keys) == len(set(keys)) == len(reference), label
+    assert set(keys) == {m.canonical_key() for m in reference}, label
+
+
+def test_closure_equals_reference_closure_on_catalog(evaluations):
     closures = list(_catalog_closures(evaluations))
     assert len(closures) == 11
     for name, key, gens, curve in closures:
-        fast = group_closure(gens, curve=curve)
-        exact = group_closure(gens)
-        assert len(fast) == len(exact), (name, key)
-        assert all(a == b for a, b in zip(fast, exact)), (name, key)
-        assert all(a == b for a, b in zip(evaluations[name].groups[key], exact))
+        reference = _reference_closure(gens)
+        _assert_same_group(group_closure(gens), reference, (name, key))
+        _assert_same_group(group_closure(gens, curve=curve), reference, (name, key))
+        _assert_same_group(evaluations[name].groups[key], reference, (name, key))
+
+
+def _unimodular(ctx, rng):
+    """A random ProjMatrix with integer entries in -2..2 and determinant +-1."""
+    while True:
+        m = ProjMatrix.from_ints(ctx, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+        det = m.det()
+        if det.is_one() or (-det).is_one():
+            return m
+
+
+def test_closure_equals_reference_closure_on_moved_members(evaluations):
+    # the members of the coordinate-change census test: F(Mx) with the
+    # generators M^-1 G M of the catalog closures
+    rng = random.Random(8128)
+    closures = {}
+    for name, key, gens, curve in _catalog_closures(evaluations):
+        closures.setdefault(name, []).append((key, gens))
+    for name, ev in evaluations.items():
+        for _ in range(2):
+            m = _unimodular(ev.instance.context, rng)
+            inv = m.inverse()
+            moved = PlaneCurve(ev.instance.curve.form.pullback(m))
+            for key, gens in closures.get(name, ()):
+                moved_gens = [inv * g * m for g in gens]
+                group = group_closure(moved_gens, curve=moved)
+                _assert_same_group(group, _reference_closure(moved_gens), (name, key))
+
+
+def test_closure_cap_boundary(evaluations):
+    for name, key, gens, curve in _catalog_closures(evaluations):
+        order = len(evaluations[name].groups[key])
+        assert len(group_closure(gens, cap=order, curve=curve)) == order
+        with pytest.raises(ClosureCapExceeded):
+            group_closure(gens, cap=order - 1, curve=curve)
+
+
+def test_redundant_generators_leave_the_group_unchanged(evaluations):
+    ev = evaluations["hessian_sextic"]
+    gens = [r.generator.matrix for r in ev.report.quasi_galois_points()]
+    ctx = ev.instance.context
+    z = ctx.zeta()
+    scaled = [ProjMatrix(ctx, [[c * z for c in row] for row in g.rows]) for g in gens]
+    reference = group_closure(gens)
+    for extra in (
+        [ProjMatrix.identity(ctx)] + gens,
+        gens + gens[::-1],
+        scaled,
+        gens[:1] + scaled + [ProjMatrix.identity(ctx)],
+    ):
+        _assert_same_group(group_closure(extra), reference, len(extra))
+
+
+def test_singular_generator_is_rejected():
+    ctx = FieldContext(8)
+    one, zero = ctx.one(), ctx.zero()
+    swap = ProjMatrix.from_ints(ctx, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    singular = diag(ctx, one, one, zero)
+    with pytest.raises(ValueError, match="generator 1 is singular"):
+        group_closure([swap, singular])
+    with pytest.raises(ValueError, match="generator 0 is singular"):
+        group_closure([ProjMatrix.from_ints(ctx, ((0,) * 3,) * 3)])
 
 
 def test_infinite_group_without_curve_exceeds_cap():
@@ -176,7 +263,7 @@ def test_generator_not_preserving_the_curve_is_rejected(instances):
         group_closure([diag(ctx, i4, one, one), shear], curve=curve)
 
 
-def test_quadratic_extension_keeps_exact_keys(monkeypatch):
+def test_quadratic_extension_keeps_exact_keys():
     special = catalog.make("quartic_xy", a=6)  # Q(zeta_8)[l], l^2 = 2*sqrt(2)
     ctx = special.context
     t = special.extras["fermat_transform"]  # F(t x) = 8 * (X^4 + Y^4 + Z^4)
@@ -186,11 +273,6 @@ def test_quadratic_extension_keeps_exact_keys(monkeypatch):
     cycle = ProjMatrix.from_ints(ctx, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     gens = [t * m * t_inv for m in (diag(ctx, i4, one, one), cycle)]
     exact = group_closure(gens)
-
-    def no_reduction(matrices):
-        raise AssertionError("a quadratic extension must not be reduced mod p")
-
-    monkeypatch.setattr(groups, "choose_prime", no_reduction)
     with_curve = group_closure(gens, curve=special.curve)
     assert len(exact) == 48
     assert len(with_curve) == len(exact)

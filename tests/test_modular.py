@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from quasigalois import FieldContext, ProjMatrix
-from quasigalois.modular import Reduction, choose_prime
+from quasigalois import FieldContext
+from quasigalois.modular import Reduction, split_reductions
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
 
@@ -20,15 +21,11 @@ def random_element(ctx, rng):
     return ctx.from_coords(coords)
 
 
-def random_matrix(ctx, rng):
-    return ProjMatrix(ctx, [[random_element(ctx, rng) for _ in range(3)] for _ in range(3)])
-
-
 def test_reduction_is_a_ring_map_sending_zeta_to_order_n():
     rng = random.Random(20261018)
     for conductor in CONDUCTORS:
         ctx = FieldContext(conductor)
-        red = choose_prime([ProjMatrix.identity(ctx)])
+        red = next(split_reductions(conductor, []))
         p = red.p
         r = red.element(ctx.zeta())
         assert r == red.root
@@ -41,35 +38,20 @@ def test_reduction_is_a_ring_map_sending_zeta_to_order_n():
             assert red.element(a * b) == red.element(a) * red.element(b) % p
 
 
-def test_fingerprints_are_projective_and_multiplicative():
-    rng = random.Random(7)
-    for conductor in CONDUCTORS:
-        ctx = FieldContext(conductor)
-        a, b = random_matrix(ctx, rng), random_matrix(ctx, rng)
-        red = choose_prime([a, b])
-        fa, fb = red.fingerprint(a), red.fingerprint(b)
-        scaled = ProjMatrix(ctx, [[c * ctx.zeta() for c in row] for row in a.rows])
-        assert red.fingerprint(scaled) == fa
-        assert red.product(fa, fb) == red.fingerprint(a * b)
-        assert next(x for x in fa if x) == 1
-
-
 def test_prime_choice_is_least_and_deterministic():
     for conductor in CONDUCTORS:
-        ctx = FieldContext(conductor)
-        red = choose_prime([ProjMatrix.identity(ctx)])
+        red = next(split_reductions(conductor, []))
         assert red.p == LEAST_SPLIT_PRIME[conductor]
         assert (red.p - 1) % conductor == 0
-        again = choose_prime([ProjMatrix.identity(ctx)])
+        again = next(split_reductions(conductor, [1, 2, 3, 4]))
         assert (again.p, again.root) == (red.p, red.root)
 
 
-def test_prime_choice_skips_bad_denominators_and_determinants():
+def test_prime_choice_skips_bad_denominators():
     ctx = FieldContext(28)
-    one, zero = ctx.one(), ctx.zero()
-    for corner in (ctx.from_rational(Fraction(1, 29)), ctx.from_int(29)):
-        m = ProjMatrix(ctx, [[corner, zero, zero], [zero, one, zero], [zero, zero, one]])
-        assert choose_prime([m]).p == 113  # 29 is excluded; 57 and 85 are composite
+    dens = [ctx.from_rational(Fraction(1, 29)).den]
+    # 29 is excluded; 57 and 85 are composite
+    assert [red.p for red in islice(split_reductions(28, dens), 2)] == [113, 197]
 
 
 def test_reduction_rejects_bad_primes_and_denominators():
@@ -80,6 +62,3 @@ def test_reduction_rejects_bad_primes_and_denominators():
     ctx = FieldContext(4)
     with pytest.raises(ZeroDivisionError):
         Reduction(4, 5).element(ctx.from_rational(Fraction(1, 5)))
-    singular = ProjMatrix.from_ints(ctx, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
-    with pytest.raises(ZeroDivisionError):
-        choose_prime([singular])

@@ -263,6 +263,17 @@ def test_group_round_trip():
     assert {m.canonical_key() for m in regrown} == {m.canonical_key() for m in group}
 
 
+def test_generators_must_be_invertible():
+    ctx = FieldContext(8)
+    field = {"conductor": 8}
+    good = matrix_to_json(ProjMatrix.identity(ctx))
+    for bad in (((1, 2, 0), (2, 4, 0), (0, 0, 1)), ((0, 0, 0),) * 3):
+        data = {"field": field, "matrices": [good, matrix_to_json(ProjMatrix.from_ints(ctx, bad))]}
+        with pytest.raises(SchemaError) as info:
+            generators_from_json(data)
+        assert info.value.path == "generators.matrices[1]"
+
+
 def test_group_json_matrices_are_sorted_and_deterministic():
     ctx = FieldContext(8)
     i4 = ctx.root_of_unity(4)
