@@ -185,6 +185,8 @@ def _build_sextic_delta8(params):
     swap = ProjMatrix(
         ctx, [[zero, s, zero], [s.inverse(), zero, zero], [zero, zero, one]]
     )
+    if not curve.form.pullback(swap).proportional_to(curve.form):
+        raise InvariantViolation("the swap must preserve the curve")
     swap_center = ProjPoint(ctx, [s, -one, zero])
     expected = {
         "seed_orders": (3, 3, 3, 6, 2),
@@ -616,7 +618,9 @@ def evaluate(instance, point_cap=10000, group_cap=1000):
 
     Returns an :class:`EntryEvaluation`; a ``None`` value in the expected
     table suppresses that comparison.  Flagged Fermat-equivalent entries are
-    checked for exact pullback equality instead of a census.
+    checked for exact pullback equality instead of a census.  The closures
+    take no curve check: the census generators are proven by their
+    classification, and the builder checks a hand-written automorphism.
     """
     if "fermat_equivalent" in instance.flags:
         return _evaluate_fermat_equivalent(instance)
@@ -637,15 +641,14 @@ def evaluate(instance, point_cap=10000, group_cap=1000):
         _add_check(checks, "triple_count", exp["triple_count"], len(report.triples))
 
     groups = {}
-    curve = instance.curve
     gens3 = [r.generator.matrix for r in qg if r.order % 3 == 0]
     if "g3_closure_order" in exp:
-        groups["g3"] = group_closure(gens3, cap=group_cap, curve=curve)
+        groups["g3"] = group_closure(gens3, cap=group_cap)
         if exp["g3_closure_order"] is not None:
             _add_check(checks, "g3_closure_order", exp["g3_closure_order"], len(groups["g3"]))
     if "generator_closure_order" in exp:
         groups["generators"] = group_closure(
-            [r.generator.matrix for r in qg], cap=group_cap, curve=curve
+            [r.generator.matrix for r in qg], cap=group_cap
         )
         if exp["generator_closure_order"] is not None:
             _add_check(
@@ -656,9 +659,7 @@ def evaluate(instance, point_cap=10000, group_cap=1000):
             )
     if "aut_closure_order" in exp:
         groups["aut"] = group_closure(
-            gens3 + [instance.extras["swap_automorphism"]],
-            cap=group_cap,
-            curve=curve,
+            gens3 + [instance.extras["swap_automorphism"]], cap=group_cap
         )
         _add_check(checks, "aut_closure_order", exp["aut_closure_order"], len(groups["aut"]))
 

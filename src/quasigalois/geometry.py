@@ -643,17 +643,5 @@ class PlaneCurve:
         self.context = form.context
         self.degree = form.degree
 
-    def contains(self, point):
-        return self.form.vanishes_at(point)
-
-    def tangent_line(self, point):
-        return tangent_line(self.form, point)
-
-    def line_profile(self, line):
-        return line_profile(self.form, line)
-
-    def intersection_multiplicity(self, line, point):
-        return intersection_multiplicity(self.form, line, point)
-
     def __repr__(self):
         return "PlaneCurve(%r)" % (self.form,)

@@ -31,7 +31,9 @@ def group_closure(generators, cap=1000, curve=None):
     exact product, plus one per coset representative and generator used so
     far.
     A ``curve`` is only validated: every generator must preserve it (one
-    exact pullback each), else CurveNotPreserved.  A singular generator
+    exact pullback each), else CurveNotPreserved.  It is for generators from
+    outside the program; those of a census are proven by their
+    classification and need no check.  A singular generator
     raises ValueError, and ClosureCapExceeded is raised exactly when the
     group has more than ``cap`` elements.
 

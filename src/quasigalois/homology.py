@@ -31,12 +31,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (
-    InvariantViolation,
-    NotAHomology,
-    OrderNotDividing,
-    RootOfUnityUnavailable,
-)
+from .errors import InvariantViolation, NotAHomology, OrderNotDividing
 from .cyclotomic import multiplicative_order
 from .geometry import (
     ProjLine,
@@ -44,7 +39,6 @@ from .geometry import (
     ProjPoint,
     _cross,
     intersection_multiplicity,
-    tangent_line,
 )
 
 
@@ -100,10 +94,11 @@ def homology_matrix(center, axis, zeta):
 
 
 def _axis_and_order(form, point):
-    """(on_curve, axis, g) at a point, by the solver of the module docstring.
+    """(on_curve, axis, g, t) at a point, by the solver of the module docstring.
 
     The inner axis a never passes through the point, so B is invertible:
-    H P = (d - 1) t and t . P = 0 give a . P = 2 (d - 1) t_k != 0.
+    H P = (d - 1) t and t . P = 0 give a . P = 2 (d - 1) t_k != 0.  At an
+    inner point t = grad F(P) is also the tangent line.
     """
     ctx = form.context
     t = form.gradient_at(point)
@@ -124,7 +119,7 @@ def _axis_and_order(form, point):
     G = form.pullback(ProjMatrix.from_columns(point, *axis.spanning_points()))
     degrees = {i for i, _, _ in G.terms}
     m = max(degrees)
-    return on_curve, axis, gcd(*(m - i for i in degrees))
+    return on_curve, axis, gcd(*(m - i for i in degrees)), t
 
 
 def solve_homology(form, point, zeta, order=None):
@@ -141,7 +136,7 @@ def solve_homology(form, point, zeta, order=None):
     ctx = form.context
     if zeta == ctx.one():
         raise ValueError("the ratio of a homology is different from 1")
-    on_curve, axis, g = _axis_and_order(form, point)
+    on_curve, axis, g, _ = _axis_and_order(form, point)
     deg_pi = form.degree - 1 if on_curve else form.degree
     if order is not None and deg_pi % order != 0:
         raise OrderNotDividing(
@@ -202,16 +197,13 @@ def classify_point(form, point):
     one pullback in coordinates adapted to the point and the axis (see the
     module docstring); g is a proof, so the generator, the homology with that
     axis and a primitive g-th root as ratio, needs no confirming pullback.
-    Raises RootOfUnityUnavailable if some candidate order (a divisor > 1 of
-    the projection degree) has no primitive root in the field, since the
-    classification could not be certified there.
+    The order needs no root of unity, only the generator does:
+    RootOfUnityUnavailable is raised exactly when g >= 2 and the field has no
+    primitive g-th root.
     """
     ctx = form.context
-    on_curve, axis, g = _axis_and_order(form, point)
+    on_curve, axis, g, t = _axis_and_order(form, point)
     deg_pi = form.degree - 1 if on_curve else form.degree
-    for n in range(2, deg_pi + 1):
-        if deg_pi % n == 0 and not ctx.root_of_unity_order_available(n):
-            raise RootOfUnityUnavailable(n, ctx.conductor, ctx.suggested_conductor(n))
     if g == 0 or deg_pi % g != 0:
         raise InvariantViolation(
             "the order of the homologies at a point must divide the projection "
@@ -223,8 +215,7 @@ def classify_point(form, point):
     generator = Homology(homology_matrix(point, axis, zeta), point, axis, zeta, g)
     tangency = None
     if on_curve:
-        t = tangent_line(form, point)
-        tangency = intersection_multiplicity(form, t, point)
+        tangency = intersection_multiplicity(form, ProjLine(ctx, t), point)
         if tangency % g != 1:
             raise InvariantViolation(
                 "tangency order at an inner quasi-Galois point must be 1 mod n"

@@ -341,7 +341,7 @@ def report_to_json(report):
             {
                 "points": [point_to_json(p) for p in keyed],
                 "order": info.n,
-                "third": None if info.third is None else point_to_json(info.third),
+                "third": point_to_json(info.third),
             }
         )
     pairs.sort(key=lambda d: str(d["points"]))

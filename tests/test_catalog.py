@@ -6,11 +6,12 @@ import pytest
 
 from quasigalois import (
     FieldContext,
+    HomoPoly,
     NotSmooth,
     ParameterViolation,
     ProjMatrix,
 )
-from quasigalois import catalog
+from quasigalois import catalog, cli
 
 
 def test_entry_names_are_stable():
@@ -129,3 +130,27 @@ def test_instance_metadata_shape(instances):
         assert inst.curve.form.degree == inst.expected["degree"] if "degree" in inst.expected else True
         assert isinstance(inst.seeds, tuple) and inst.seeds
         assert set(inst.expected).issuperset({"delta_prime", "certification"})
+
+
+def test_evaluate_pulls_back_once_per_classified_point(monkeypatch):
+    # each census point is proven by the one pullback of its classification,
+    # so the closures re-check nothing; a Fermat-equivalent case is one
+    # exact coordinate change
+    original = HomoPoly.pullback
+    calls = []
+
+    def counting(self, matrix):
+        calls.append(matrix)
+        return original(self, matrix)
+
+    for name, spec in cli._verify_cases().items():
+        params = {k: v for k, v in spec.items() if k != "name"}
+        instance = catalog.make(spec["name"], **params)
+        calls.clear()
+        monkeypatch.setattr(HomoPoly, "pullback", counting)
+        ev = catalog.evaluate(instance)
+        monkeypatch.setattr(HomoPoly, "pullback", original)
+        if "fermat_equivalent" in instance.flags:
+            assert len(calls) == 1, name
+        else:
+            assert len(calls) == len(ev.report.records), name

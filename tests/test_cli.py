@@ -102,6 +102,17 @@ def test_point_classification_json(fermat_file, capsys):
     assert data["locus"] == "outer"
 
 
+def test_inner_point_of_order_one_needs_no_cube_root(fermat_file, capsys):
+    # (z : 1 : 0) lies on the Fermat quartic over Q(zeta_8), which has no cube
+    # root of unity; an order of 1 needs none
+    assert main(
+        ["point", "--curve", fermat_file, "--point", "z,1,0", "--format", "json"]
+    ) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["order"] == 1
+    assert data["locus"] == "inner"
+
+
 def test_point_literal_with_powers_of_zeta(fermat_file, capsys):
     assert main(
         ["point", "--curve", fermat_file, "--point", "1, z^2, 0", "--format", "json"]

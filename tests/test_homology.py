@@ -13,6 +13,7 @@ from quasigalois import (
     ProjLine,
     ProjMatrix,
     ProjPoint,
+    RootOfUnityUnavailable,
     classify_point,
     homology_from_matrix,
     homology_matrix,
@@ -156,8 +157,8 @@ def test_classify_point_outer_orders():
 def test_classify_point_inner_with_tangency_congruence():
     # X^3 Z + Y^4 + Z^4 passes through (1 : 0 : 0); the projection away from
     # an inner point has degree d - 1 and its homology order must leave the
-    # tangency intersection multiplicity congruent to 1.  Conductor 12 makes
-    # both 3rd and 4th roots of unity available for the order search.
+    # tangency intersection multiplicity congruent to 1.  Conductor 12 holds
+    # the cube root of unity that the order-3 generator needs.
     ctx = FieldContext(12)
     form = HomoPoly.from_int_terms(
         ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1}
@@ -170,6 +171,87 @@ def test_classify_point_inner_with_tangency_congruence():
     assert rec.order == 3
     assert rec.tangency == 4
     assert rec.tangency % rec.order == 1
+
+
+def test_an_order_needs_no_root_of_unity_but_its_generator_does():
+    # Q(i) has no cube root of unity.  The Fermat sextic's reflection center
+    # (1 : -1 : 0) still gets its order 2, while (1 : 0 : 0) of order 6 and
+    # the inner point (1 : 0 : 0) of X^3 Z + Y^4 + Z^4 of order 3 cannot be
+    # given a generator.
+    ctx = FieldContext(4)
+    sextic = HomoPoly.from_int_terms(ctx, 6, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1})
+    rec = classify_point(sextic, ProjPoint.from_ints(ctx, (1, -1, 0)))
+    assert (rec.kind, rec.order) == ("outer", 2)
+    assert sextic.pullback(rec.generator.matrix).proportional_to(sextic)
+    quartic = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    for form, order in ((sextic, 6), (quartic, 3)):
+        with pytest.raises(RootOfUnityUnavailable) as info:
+            classify_point(form, ProjPoint.from_ints(ctx, (1, 0, 0)))
+        assert info.value.order == order
+
+
+def _lift(element, big):
+    """The image of an element of Q(zeta_N) in Q(zeta_M), N | M, under zeta_N -> zeta_M^(M/N)."""
+    w = big.zeta() ** (big.conductor // element.context.conductor)
+    return sum(
+        (big.from_rational(c) * w ** k for k, c in enumerate(element.coords())),
+        big.zero(),
+    )
+
+
+def _fermat_quartic_inner_points(ctx):
+    # x^4 + y^4 = 0 and its permutations: the 12 hyperflexes
+    z8 = ctx.root_of_unity(8)
+    zero, one = ctx.zero(), ctx.one()
+    points = []
+    for k in (1, 3, 5, 7):
+        r = z8 ** k
+        points += [[r, one, zero], [r, zero, one], [zero, r, one]]
+    return points
+
+
+def _sextic_delta8_inner_points(ctx):
+    # the 18 points of x^6 + 20 x^3 y^3 - 8 y^6 + z^6 on the coordinate
+    # triangle: x^6 = -z^6, z^6 = 8 y^6 and x^3 / y^3 = -10 +- 6 sqrt 3
+    z8, z12 = ctx.root_of_unity(8), ctx.root_of_unity(12)
+    sqrt2, sqrt3 = z8 + z8 ** 7, z12 + z12 ** 11
+    zero, one = ctx.zero(), ctx.one()
+    points = []
+    for k in range(6):
+        points.append([z12 ** (2 * k + 1), zero, one])
+        points.append([zero, one, sqrt2 * z12 ** (2 * k)])
+    for k in range(3):
+        for r in (sqrt3 - one, -sqrt3 - one):
+            points.append([r * z12 ** (4 * k), one, zero])
+    return points
+
+
+@pytest.mark.parametrize(
+    "name, inner_points, conductor",
+    [
+        ("fermat_quartic", _fermat_quartic_inner_points, 24),
+        ("sextic_delta8", _sextic_delta8_inner_points, 120),
+    ],
+    ids=["fermat_quartic", "sextic_delta8"],
+)
+def test_inner_classification_is_the_same_over_a_larger_field(name, inner_points, conductor):
+    # the order, locus and tangency of a point do not depend on the field it
+    # is read in; the larger field holds a root of unity of every order
+    # dividing the projection degree, the catalog field does not
+    form = catalog.make(name).curve.form
+    ctx, big = form.context, FieldContext(conductor)
+    lifted = HomoPoly(big, form.degree, {e: _lift(c, big) for e, c in form.terms.items()})
+    for coords in inner_points(ctx):
+        point = ProjPoint(ctx, coords)
+        assert form.vanishes_at(point)
+        rec = classify_point(form, point)
+        big_rec = classify_point(lifted, ProjPoint(big, [_lift(c, big) for c in coords]))
+        assert rec.on_curve
+        assert (rec.order, rec.on_curve, rec.tangency) == (
+            big_rec.order,
+            big_rec.on_curve,
+            big_rec.tangency,
+        )
 
 
 def _hyperflex_quartic():
