@@ -17,12 +17,12 @@ Exit codes: 0 all requested checks pass; 1 a verification failed (for
 ``smooth``: the curve is singular); 2 malformed input, with field
 diagnostics.  With ``--format json`` errors are emitted as JSON objects.
 
-The environment variable ``QGP_MAX_CONDUCTOR`` (default 10000) bounds the
-cyclotomic conductor accepted from input files, guarding against
-accidentally enormous fields.  A curve's degree is at most 8
-(``serialize._MAX_DEGREE``), ``--starts`` at most 10^6 (the starts are drawn
-up front, 64 bytes each) and ``--cap`` at most 10^5; larger values are usage
-errors.
+Input bounds: a curve's degree is at most 8, a field's conductor at most
+10000 and an integer in a file or literal at most 1000 digits (the
+``serialize`` constants ``_MAX_DEGREE``, ``_MAX_CONDUCTOR`` and
+``_MAX_DIGITS``); ``--starts`` is at most 10^6 (the starts are drawn up
+front, 64 bytes each) and ``--cap`` at most 10^5.  A larger value exits 2
+with its path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import catalog
@@ -55,7 +54,6 @@ from .serialize import (
 )
 from .smoothness import is_smooth
 
-_DEFAULT_MAX_CONDUCTOR = 10000
 _MAX_STARTS = 10**6
 _MAX_CAP = 10**5
 
@@ -64,24 +62,16 @@ _ORACLE_STARTS = {"quartic_klein": 800, "sextic_delta4": 600}
 _ORACLE_DEFAULT_STARTS = 400
 
 
-def _max_conductor():
-    raw = os.environ.get("QGP_MAX_CONDUCTOR")
-    if raw is None:
-        return _DEFAULT_MAX_CONDUCTOR
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SchemaError(
-            "QGP_MAX_CONDUCTOR", "expected an integer, got %r" % raw
-        )
-    if value < 1:
-        raise SchemaError("QGP_MAX_CONDUCTOR", "must be positive")
-    return value
+class _InvalidJSON(Exception):
+    """A file that json.load refused."""
 
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # bad syntax or UTF-8, or int() past its digit limit
+            raise _InvalidJSON(str(exc)) from None
 
 
 def _print_json(obj):
@@ -100,9 +90,7 @@ def _fail(fmt, code, kind, message, path=None):
 
 
 def _load_curve(args):
-    return curve_from_json(
-        _load_json(args.curve), max_conductor=_max_conductor()
-    )
+    return curve_from_json(_load_json(args.curve))
 
 
 def _default_seeds(context):
@@ -192,7 +180,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_smooth(args):
-    form = form_from_json(_load_json(args.curve), max_conductor=_max_conductor())
+    form = form_from_json(_load_json(args.curve))
     smooth = is_smooth(form)
     if args.format == "json":
         _print_json({"smooth": smooth})
@@ -251,9 +239,7 @@ def _cmd_profile(args):
 def _cmd_closure(args):
     _check_cap(args.cap)
     curve = _load_curve(args)
-    generators = generators_from_json(
-        _load_json(args.generators), max_conductor=_max_conductor()
-    )
+    generators = generators_from_json(_load_json(args.generators))
     for i, matrix in enumerate(generators):
         if not matrix.context.compatible(curve.context):
             raise SchemaError(
@@ -586,7 +572,7 @@ def main(argv=None):
         return args.func(args)
     except SchemaError as exc:
         return _fail(fmt, 2, "schema", exc.message, path=exc.path)
-    except json.JSONDecodeError as exc:
+    except _InvalidJSON as exc:
         return _fail(fmt, 2, "json", "invalid JSON: %s" % exc)
     except OSError as exc:
         return _fail(fmt, 2, "io", str(exc))

@@ -286,10 +286,6 @@ class FieldContext:
 
     # -- roots of unity -----------------------------------------------------
 
-    def root_of_unity_order_available(self, n):
-        N = self.conductor
-        return n >= 1 and (N % n == 0 or (N % 2 == 1 and (2 * N) % n == 0))
-
     def suggested_conductor(self, n):
         N = self.conductor
         m = N * n // gcd(N, n)

@@ -26,6 +26,12 @@ produce byte-identical JSON.
 Command-line vectors use comma-separated exact literals: each entry is a sum
 of terms ``p/q``, ``z^k`` (a power of the field's primitive root of unity) or
 ``p/q*z^k``, e.g. ``"1,z^4,0"`` or ``"3/2 - z^2, 1, 0"``.
+
+Input bounds, the same for a file, a literal and a library call: a curve's
+degree is at most ``_MAX_DEGREE`` (8), a field's conductor at most
+``_MAX_CONDUCTOR`` (10000) and an integer in a rational or a literal has at
+most ``_MAX_DIGITS`` (1000) digits.  A larger value raises SchemaError with
+the path of the offending entry.
 """
 
 from __future__ import annotations
@@ -39,11 +45,36 @@ from .geometry import HomoPoly, PlaneCurve, ProjLine, ProjMatrix, ProjPoint
 from .groups import order_histogram
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_DIGITS_RE = re.compile(r"\d+")
 
 # The largest curve degree accepted from input.  The paper's curves have
 # degree 4 and 6; the exact smoothness rank of a dense singular form of
 # degree 8 over Q(zeta_3) already takes about 40 s.
 _MAX_DEGREE = 8
+# The largest conductor N accepted from input: arithmetic cost grows with
+# phi(N), and the field's modulus alone is a list of N + 1 integers.
+_MAX_CONDUCTOR = 10000
+# The most digits in one integer of a rational or a literal.  No catalog
+# curve, census report or group export has an integer of more than 3 digits;
+# past 4300 digits int() itself raises a bare ValueError.
+_MAX_DIGITS = 1000
+
+
+def _check_digits(text, path):
+    """Reject text holding an integer of more than _MAX_DIGITS digits."""
+    if any(len(run) > _MAX_DIGITS for run in _DIGITS_RE.findall(text)):
+        raise SchemaError(
+            path, "an integer has more than %d digits" % _MAX_DIGITS
+        )
+
+
+def _check_object(data, path, keys):
+    """Require a JSON object whose keys are among `keys`."""
+    if not isinstance(data, dict):
+        raise SchemaError(path, "expected an object")
+    unknown = set(data) - keys
+    if unknown:
+        raise SchemaError(path, "unknown keys %s" % sorted(unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +91,7 @@ def rational_to_str(value):
 def rational_from_str(text, path="rational"):
     if not isinstance(text, str):
         raise SchemaError(path, "expected a rational string, got %r" % (text,))
+    _check_digits(text, path)
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise SchemaError(path, "not a rational 'p/q': %r" % text)
@@ -81,23 +113,17 @@ def field_to_json(context):
     return data
 
 
-def field_from_json(data, path="field", max_conductor=None):
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object")
+def field_from_json(data, path="field"):
+    _check_object(data, path, {"conductor", "lambda_sq"})
     conductor = data.get("conductor")
     if not isinstance(conductor, int) or isinstance(conductor, bool):
         raise SchemaError(path + ".conductor", "expected an integer")
     if conductor < 1:
         raise SchemaError(path + ".conductor", "conductor must be positive")
-    if max_conductor is not None and conductor > max_conductor:
+    if conductor > _MAX_CONDUCTOR:
         raise SchemaError(
-            path + ".conductor",
-            "conductor %d exceeds the configured maximum %d"
-            % (conductor, max_conductor),
+            path + ".conductor", "conductor must be at most %d" % _MAX_CONDUCTOR
         )
-    unknown = set(data) - {"conductor", "lambda_sq"}
-    if unknown:
-        raise SchemaError(path, "unknown keys %s" % sorted(unknown))
     base = FieldContext(conductor)
     if "lambda_sq" not in data:
         return base
@@ -121,11 +147,7 @@ def element_to_json(element):
 
 def element_from_json(data, path="element", context=None):
     """Parse an element; with ``context`` given, also enforce membership."""
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object")
-    unknown = set(data) - {"conductor", "coords", "lambda_sq"}
-    if unknown:
-        raise SchemaError(path, "unknown keys %s" % sorted(unknown))
+    _check_object(data, path, {"conductor", "coords", "lambda_sq"})
     if context is None:
         context = field_from_json(
             {k: v for k, v in data.items() if k != "coords"}, path=path
@@ -252,18 +274,12 @@ def curve_to_json(curve_or_form):
     }
 
 
-def form_from_json(data, path="curve", max_conductor=None):
+def form_from_json(data, path="curve"):
     """Parse the curve schema into a homogeneous form (no smoothness gate)."""
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object")
-    unknown = set(data) - {"field", "degree", "terms"}
-    if unknown:
-        raise SchemaError(path, "unknown keys %s" % sorted(unknown))
+    _check_object(data, path, {"field", "degree", "terms"})
     if "field" not in data:
         raise SchemaError(path + ".field", "missing")
-    context = field_from_json(
-        data["field"], path=path + ".field", max_conductor=max_conductor
-    )
+    context = field_from_json(data["field"], path=path + ".field")
     degree = data.get("degree")
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise SchemaError(path + ".degree", "expected a positive integer")
@@ -306,9 +322,9 @@ def form_from_json(data, path="curve", max_conductor=None):
     return form
 
 
-def curve_from_json(data, path="curve", max_conductor=None):
+def curve_from_json(data, path="curve"):
     """Parse the curve schema and verify smoothness (raises NotSmooth)."""
-    return PlaneCurve(form_from_json(data, path, max_conductor))
+    return PlaneCurve(form_from_json(data, path))
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +389,15 @@ def group_to_json(group):
     }
 
 
-def generators_from_json(data, path="generators", max_conductor=None):
+def generators_from_json(data, path="generators"):
     """Parse a generator file: the group schema, ignoring order/histogram.
 
     Every matrix must be invertible, as ``group_closure`` requires.
     """
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object")
-    unknown = set(data) - {"field", "matrices", "order", "histogram"}
-    if unknown:
-        raise SchemaError(path, "unknown keys %s" % sorted(unknown))
+    _check_object(data, path, {"field", "matrices", "order", "histogram"})
     if "field" not in data:
         raise SchemaError(path + ".field", "missing")
-    context = field_from_json(
-        data["field"], path=path + ".field", max_conductor=max_conductor
-    )
+    context = field_from_json(data["field"], path=path + ".field")
     raw = data.get("matrices")
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path + ".matrices", "expected a nonempty list")
@@ -424,6 +434,7 @@ def scalar_from_literal(text, context, path="literal"):
     s = text.strip()
     if not s:
         raise SchemaError(path, "empty literal")
+    _check_digits(s, path)
     total = context.zero()
     pos = 0
     first = True

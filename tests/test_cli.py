@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quasigalois
-from quasigalois import catalog, curve_to_json
+from quasigalois import FieldContext, catalog, curve_to_json
 from quasigalois import cli, serialize
 from quasigalois.cli import main
 
@@ -399,16 +399,55 @@ def test_verify_paper_json_is_reproducible(capsys):
     assert payload["seed"] == 5
 
 
-def test_conductor_ceiling_from_environment(fermat_file, monkeypatch, capsys):
-    monkeypatch.setenv("QGP_MAX_CONDUCTOR", "6")
-    assert main(["smooth", "--curve", fermat_file]) == 2
-    err = capsys.readouterr().err
-    assert "conductor" in err.lower()
+def test_conductor_ceiling_is_a_constant(tmp_path, capsys):
+    def fermat(conductor, dim):
+        one = {"conductor": conductor, "coords": ["1"] + ["0"] * (dim - 1)}
+        terms = [{"exps": e, "coeff": one} for e in ([4, 0, 0], [0, 4, 0], [0, 0, 4])]
+        return {"field": {"conductor": conductor}, "degree": 4, "terms": terms}
+
+    top = serialize._MAX_CONDUCTOR
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(fermat(top, FieldContext(top).dim)))
+    assert main(["smooth", "--curve", str(path)]) == 0
+    capsys.readouterr()
+    # the coordinates are never read: the conductor is rejected first
+    path.write_text(json.dumps(fermat(top + 1, 1)))
+    assert main(["smooth", "--curve", str(path), "--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["path"] == "curve.field.conductor"
+    assert "conductor" in err["message"]
 
 
-def test_invalid_conductor_ceiling_is_reported(fermat_file, monkeypatch):
-    monkeypatch.setenv("QGP_MAX_CONDUCTOR", "many")
-    assert main(["smooth", "--curve", fermat_file]) == 2
+def test_coefficient_digit_ceiling(fermat_file, tmp_path, capsys):
+    data = json.loads(Path(fermat_file).read_text())
+    path = tmp_path / "long.json"
+    data["terms"][0]["coeff"]["coords"][0] = "9" * serialize._MAX_DIGITS
+    path.write_text(json.dumps(data))
+    assert main(["smooth", "--curve", str(path)]) == 0
+    capsys.readouterr()
+    data["terms"][0]["coeff"]["coords"][0] = "9" * (serialize._MAX_DIGITS + 1)
+    path.write_text(json.dumps(data))
+    assert main(["smooth", "--curve", str(path), "--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["path"]) == ("schema", "curve.terms[0].coeff.coords[0]")
+
+
+def test_point_literal_digit_ceiling(fermat_file, capsys):
+    literal = "1,%s,0" % ("9" * (serialize._MAX_DIGITS + 1))
+    argv = ["point", "--curve", fermat_file, "--point", literal, "--format", "json"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["path"]) == ("schema", "point[1]")
+
+
+def test_integer_past_the_json_digit_limit_is_a_json_error(fermat_file, tmp_path, capsys):
+    # json.load raises a plain ValueError here, not a JSONDecodeError
+    text = Path(fermat_file).read_text().replace('"degree": 4', '"degree": ' + "4" * 5000)
+    assert "4" * 5000 in text
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["smooth", "--curve", str(path), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "json"
 
 
 def test_verify_paper_json_digest_is_unchanged(capsys):

@@ -90,12 +90,10 @@ def test_root_of_unity_odd_conductor_supplies_even_orders():
     r = ctx.root_of_unity(6)
     assert multiplicative_order(r) == 6
     assert r ** 6 == ctx.one()
-    assert ctx.root_of_unity_order_available(6)
 
 
 def test_root_of_unity_unavailable_raises():
     ctx = FieldContext(3)
-    assert not ctx.root_of_unity_order_available(4)
     with pytest.raises(RootOfUnityUnavailable):
         ctx.root_of_unity(4)
     assert ctx.suggested_conductor(4) % 4 == 0

@@ -35,7 +35,9 @@ from quasigalois import (
 )
 from quasigalois import catalog
 from quasigalois.serialize import (
+    _MAX_CONDUCTOR,
     _MAX_DEGREE,
+    _MAX_DIGITS,
     rational_from_str,
     rational_to_str,
     scalar_from_literal,
@@ -81,9 +83,42 @@ def test_field_schema_rejections():
 
 
 def test_field_conductor_ceiling():
-    with pytest.raises(SchemaError):
-        field_from_json({"conductor": 101}, "f", max_conductor=100)
-    assert field_from_json({"conductor": 100}, "f", max_conductor=100).conductor == 100
+    with pytest.raises(SchemaError) as info:
+        field_from_json({"conductor": _MAX_CONDUCTOR + 1}, "f")
+    assert info.value.path == "f.conductor"
+    assert field_from_json({"conductor": _MAX_CONDUCTOR}, "f").conductor == _MAX_CONDUCTOR
+
+
+def test_library_readers_bound_the_conductor():
+    # the bound holds for a library call, not only for the command line
+    field = {"conductor": _MAX_CONDUCTOR + 1}
+    one = {"conductor": _MAX_CONDUCTOR + 1, "coords": ["1"]}
+    curve = {"field": field, "degree": 4, "terms": [{"exps": [4, 0, 0], "coeff": one}]}
+    generators = {"field": field, "matrices": [[[one] * 3] * 3]}
+    for reader, data, path in (
+        (curve_from_json, curve, "curve.field.conductor"),
+        (element_from_json, one, "element.conductor"),
+        (generators_from_json, generators, "generators.field.conductor"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            reader(data)
+        assert info.value.path == path
+
+
+def test_integer_digit_ceiling():
+    ctx = FieldContext(8)
+    top = "7" * _MAX_DIGITS
+    over = "7" * (_MAX_DIGITS + 1)
+    assert rational_from_str("-1/" + top) == Fraction(-1, int(top))
+    assert scalar_from_literal(top + "*z^2", ctx) == ctx.from_int(int(top)) * ctx.zeta() ** 2
+    for text in (over, "-" + over, "1/" + over):
+        with pytest.raises(SchemaError) as info:
+            rational_from_str(text, "r")
+        assert info.value.path == "r"
+    for text in (over, "1 + 1/" + over + "*z", "z^" + over):
+        with pytest.raises(SchemaError) as info:
+            scalar_from_literal(text, ctx, "s")
+        assert info.value.path == "s"
 
 
 def test_form_degree_ceiling():

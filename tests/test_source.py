@@ -8,6 +8,7 @@ import quasigalois
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 FLOAT_MODULES = {"numpy", "scipy", "cmath", "math"}
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _sources():
@@ -25,6 +26,20 @@ def test_no_assert_statements_in_package():
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def test_package_reads_no_environment():
+    # Input bounds are serialize constants and options are flags; a knob read
+    # from the environment would bound the command line but not a library
+    # call.
+    offenders = [
+        "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        for path in _sources()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS)
+        or (isinstance(node, ast.alias) and node.name in ENVIRONMENT_READERS)
     ]
     assert offenders == []
 
