@@ -52,6 +52,20 @@ def _points(ctx, specs):
     )
 
 
+def _quartic(a=0, b=0):
+    """X^4 + Y^4 + Z^4 + aX^2Y^2 + b(Y^2Z^2 + X^2Z^2): every catalog quartic."""
+    return {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): a, (0, 2, 2): b, (2, 0, 2): b}
+
+
+def _delta_sextic(a=0):
+    """X^6 + 20X^3Y^3 - 8Y^6 + Z^6 + a(X^3YZ^2 + Y^4Z^2): both delta-sextics."""
+    return {(6, 0, 0): 1, (3, 3, 0): 20, (0, 6, 0): -8, (0, 0, 6): 1, (3, 1, 2): a, (0, 4, 2): a}
+
+
+# The quartic_xy parameters whose member is projectively the Fermat quartic.
+FERMAT_EQUIVALENT_XY = (0, 6, -6)
+
+
 def _rational_param(params, key, default):
     value = params.pop(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -85,8 +99,8 @@ _TRIANGLE9 = (
 class CurveInstance:
     """One constructed catalog curve with its seeds and expectations.
 
-    Fields: ``name`` and the resolved ``parameters``; the field ``context``;
-    the smooth ``curve``; the ``seeds`` driving orbit expansion; the
+    Fields: ``name`` and the resolved ``parameters``; the smooth ``curve``
+    and its field ``context``; the ``seeds`` driving orbit expansion; the
     ``expected`` data replayed by :func:`evaluate`; ``extras`` holding named
     matrices and points special to the entry; and ``flags`` (currently only
     ``"fermat_equivalent"``).
@@ -103,10 +117,10 @@ class CurveInstance:
         "flags",
     )
 
-    def __init__(self, name, parameters, context, curve, seeds, expected, extras, flags):
+    def __init__(self, name, parameters, curve, seeds, expected, extras, flags):
         self.name = name
         self.parameters = dict(parameters)
-        self.context = context
+        self.context = curve.context
         self.curve = curve
         self.seeds = tuple(seeds)
         self.expected = expected
@@ -164,7 +178,6 @@ def _build_hessian_sextic(params):
     return CurveInstance(
         "hessian_sextic",
         {},
-        ctx,
         curve,
         _points(ctx, (_E1, _E2, _E3, (1, 1, 1), (1, -1, 0))),
         expected,
@@ -176,9 +189,7 @@ def _build_hessian_sextic(params):
 def _build_sextic_delta8(params):
     _reject_unknown("sextic_delta8", params)
     ctx = FieldContext(24)
-    curve = PlaneCurve(
-        _form(ctx, 6, {(6, 0, 0): 1, (3, 3, 0): 20, (0, 6, 0): -8, (0, 0, 6): 1})
-    )
+    curve = PlaneCurve(_form(ctx, 6, _delta_sextic()))
     z8 = ctx.root_of_unity(8)
     s = z8 + z8 ** 3  # s^2 = -2
     zero, one = ctx.zero(), ctx.one()
@@ -220,7 +231,6 @@ def _build_sextic_delta8(params):
     return CurveInstance(
         "sextic_delta8",
         {},
-        ctx,
         curve,
         _points(ctx, (_E1, _E2, (1, -1, 0), _E3)) + (swap_center,),
         expected,
@@ -235,20 +245,7 @@ def _build_sextic_delta4(params):
     if a == 0:
         raise ParameterViolation("sextic_delta4 requires a != 0 (a = 0 degenerates)")
     ctx = FieldContext(3)
-    curve = PlaneCurve(
-        _form(
-            ctx,
-            6,
-            {
-                (0, 0, 6): 1,
-                (3, 1, 2): a,
-                (0, 4, 2): a,
-                (6, 0, 0): 1,
-                (3, 3, 0): 20,
-                (0, 6, 0): -8,
-            },
-        )
-    )
+    curve = PlaneCurve(_form(ctx, 6, _delta_sextic(a)))
     expected = {
         "seed_orders": (3, 3, 2),
         "delta_prime": {2: 1, 3: 4, 6: 0},
@@ -262,7 +259,6 @@ def _build_sextic_delta4(params):
     return CurveInstance(
         "sextic_delta4",
         {"a": a},
-        ctx,
         curve,
         _points(ctx, (_E1, (1, -1, 0), _E3)),
         expected,
@@ -274,9 +270,7 @@ def _build_sextic_delta4(params):
 def _build_fermat_quartic(params):
     _reject_unknown("fermat_quartic", params)
     ctx = FieldContext(8)
-    curve = PlaneCurve(
-        _form(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
-    )
+    curve = PlaneCurve(_form(ctx, 4, _quartic()))
     i = ctx.zeta() ** 2
     expected = {
         "seed_orders": (4, 4, 4, 2, 2, 2),
@@ -291,7 +285,6 @@ def _build_fermat_quartic(params):
     return CurveInstance(
         "fermat_quartic",
         {},
-        ctx,
         curve,
         _points(ctx, (_E1, _E2, _E3, (1, i, 0), (1, 0, i), (0, 1, i))),
         expected,
@@ -323,20 +316,7 @@ def _build_quartic_symmetric(params):
         ctx = FieldContext(4)
     if a == 0:
         raise ParameterViolation("a = 0 is the plain Fermat quartic; use fermat_quartic")
-    curve = PlaneCurve(
-        _form(
-            ctx,
-            4,
-            {
-                (4, 0, 0): 1,
-                (0, 4, 0): 1,
-                (0, 0, 4): 1,
-                (2, 2, 0): a,
-                (0, 2, 2): a,
-                (2, 0, 2): a,
-            },
-        )
-    )
+    curve = PlaneCurve(_form(ctx, 4, _quartic(a, a)))
     expected = {
         "seed_orders": (2,) * 9,
         "delta_prime": {2: 9, 4: 0},
@@ -352,7 +332,6 @@ def _build_quartic_symmetric(params):
     return CurveInstance(
         "quartic_symmetric",
         {"a": a},
-        ctx,
         curve,
         _points(ctx, _TRIANGLE9),
         expected,
@@ -383,18 +362,17 @@ def _fermat_equivalent_xy(a):
             twist = ProjMatrix(ctx, [[one, zero, zero], [zero, i, zero], [zero, zero, one]])
             transform = twist * transform
         scale = ctx.from_int(8)
-    form = _form(
-        ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): a}
-    )
-    fermat = _form(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
     return CurveInstance(
         "quartic_xy",
         {"a": a},
-        ctx,
-        PlaneCurve(form),
+        PlaneCurve(_form(ctx, 4, _quartic(a))),
         (),
         {"fermat_equivalent": True},
-        {"fermat_transform": transform, "fermat_form": fermat, "fermat_scale": scale},
+        {
+            "fermat_transform": transform,
+            "fermat_form": _form(ctx, 4, _quartic()),
+            "fermat_scale": scale,
+        },
         ("fermat_equivalent",),
     )
 
@@ -402,12 +380,10 @@ def _fermat_equivalent_xy(a):
 def _build_quartic_xy(params):
     a = _rational_param(params, "a", 1)
     _reject_unknown("quartic_xy", params)
-    if a in (0, 6, -6):
+    if a in FERMAT_EQUIVALENT_XY:
         return _fermat_equivalent_xy(a)
     ctx = FieldContext(4)
-    curve = PlaneCurve(
-        _form(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): a})
-    )
+    curve = PlaneCurve(_form(ctx, 4, _quartic(a)))
     i = ctx.zeta()
     expected = {
         "seed_orders": (2, 2, 4, 2, 2),
@@ -422,7 +398,6 @@ def _build_quartic_xy(params):
     return CurveInstance(
         "quartic_xy",
         {"a": a},
-        ctx,
         curve,
         _points(ctx, (_E1, _E2, _E3, (1, 1, 0), (1, i, 0))),
         expected,
@@ -440,20 +415,7 @@ def _build_quartic_5family(params):
     if b == a or b == -a:
         raise ParameterViolation("quartic_5family requires b != a and b != -a")
     ctx = FieldContext(4)
-    curve = PlaneCurve(
-        _form(
-            ctx,
-            4,
-            {
-                (4, 0, 0): 1,
-                (0, 4, 0): 1,
-                (0, 0, 4): 1,
-                (2, 2, 0): a,
-                (0, 2, 2): b,
-                (2, 0, 2): b,
-            },
-        )
-    )
+    curve = PlaneCurve(_form(ctx, 4, _quartic(a, b)))
     expected = {
         "seed_orders": (2, 2, 2, 2),
         "delta_prime": {2: 5, 4: 0},
@@ -467,7 +429,6 @@ def _build_quartic_5family(params):
     return CurveInstance(
         "quartic_5family",
         {"a": a, "b": b},
-        ctx,
         curve,
         _points(ctx, (_E1, _E2, _E3, (1, 1, 0))),
         expected,
@@ -485,20 +446,7 @@ def _build_quartic_klein(params):
     a = (gauss * 3 - 3) / 2
     if not _klein_parameter_test(a):
         raise InvariantViolation("the parameter must satisfy a^2 + 3a + 18 = 0")
-    curve = PlaneCurve(
-        _form(
-            ctx,
-            4,
-            {
-                (4, 0, 0): 1,
-                (0, 4, 0): 1,
-                (0, 0, 4): 1,
-                (2, 2, 0): a,
-                (0, 2, 2): a,
-                (2, 0, 2): a,
-            },
-        )
-    )
+    curve = PlaneCurve(_form(ctx, 4, _quartic(a, a)))
     # 4a/(6-a) is a square already in this field; lam is one of its roots.
     lam = 1 - z ** 2 + z ** 4 + z ** 8
     if lam * lam != (a * 4) / (ctx.from_int(6) - a):
@@ -529,7 +477,6 @@ def _build_quartic_klein(params):
     return CurveInstance(
         "quartic_klein",
         {},
-        ctx,
         curve,
         seeds,
         expected,

@@ -205,8 +205,12 @@ def has_pair_normal_support(form, n):
 # report
 # ---------------------------------------------------------------------------
 
-_SEXTIC_TABLE = {0, 1, 2, 3, 4, 8, 12}
-_QUARTIC_TABLE = {0, 1, 3, 5, 6, 9, 12, 21}
+# Per degree: the least order counted, the bound on the points of at least
+# that order, and the possible counts of points of exactly that order.
+CERTIFICATION_BY_DEGREE = {
+    6: (3, 12, {0, 1, 2, 3, 4, 8, 12}),  # flex bound, n = 3: 3d(d-2)/d = 12 at d = 6
+    4: (2, 21, {0, 1, 3, 5, 6, 9, 12, 21}),  # 1 + 4*2 + 4*3 over the four tangency patterns
+}
 
 
 class CensusReport:
@@ -261,23 +265,15 @@ def _tally(records, on_curve, top):
 
 
 def _certify(degree, delta_prime):
-    if degree == 6:
-        bound = 12  # flex bound, n = 3: 3d(d-2)/d = 12 at d = 6
-        attained = sum(c for k, c in delta_prime.items() if k >= 3)
-        if attained == bound:
-            return "certified", bound, attained
-        if delta_prime.get(3, 0) in _SEXTIC_TABLE:
-            return "theory_table_only", bound, attained
-        return "bound_gap", bound, attained
-    if degree == 4:
-        bound = 21  # 1 + 4*2 + 4*3 over the four tangency patterns
-        attained = sum(c for k, c in delta_prime.items() if k >= 2)
-        if attained == bound:
-            return "certified", bound, attained
-        if delta_prime.get(2, 0) in _QUARTIC_TABLE:
-            return "theory_table_only", bound, attained
-        return "bound_gap", bound, attained
-    return "bound_gap", None, sum(delta_prime.values())
+    if degree not in CERTIFICATION_BY_DEGREE:
+        return "bound_gap", None, sum(delta_prime.values())
+    low, bound, table = CERTIFICATION_BY_DEGREE[degree]
+    attained = sum(c for k, c in delta_prime.items() if k >= low)
+    if attained == bound:
+        return "certified", bound, attained
+    if delta_prime.get(low, 0) in table:
+        return "theory_table_only", bound, attained
+    return "bound_gap", bound, attained
 
 
 def census(curve, seeds, cap=10000):

@@ -22,7 +22,9 @@ Input bounds: a curve's degree is at most 8, a field's conductor at most
 ``serialize`` constants ``_MAX_DEGREE``, ``_MAX_CONDUCTOR`` and
 ``_MAX_DIGITS``); ``--starts`` is at most 10^6 (the starts are drawn up
 front, 64 bytes each) and ``--cap`` at most 10^5.  A larger value exits 2
-with its path.
+with its path.  Every command except ``smooth`` needs a curve of degree at
+least 4 (``PlaneCurve.MIN_DEGREE``); a lower degree exits 2 at
+``curve.degree``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import sys
 
 from . import catalog
-from .census import census
+from .census import CERTIFICATION_BY_DEGREE, census
 from .errors import NotSmooth, QuasiGaloisError, SchemaError
 from .geometry import ProjPoint, line_profile
 from .groups import group_closure
@@ -317,7 +319,7 @@ def _cmd_oracle_census(args):
 
 def _verify_cases():
     cases = {name: {"name": name} for name in catalog.entry_names()}
-    for a in (0, 6, -6):
+    for a in catalog.FERMAT_EQUIVALENT_XY:
         cases["quartic_xy_fermat_a%d" % a] = {"name": "quartic_xy", "a": a}
     return dict(sorted(cases.items()))
 
@@ -326,7 +328,7 @@ def _case_summary(instance, evaluation):
     if "fermat_equivalent" in instance.flags:
         return "exact coordinate change onto the pure fourth-power form"
     report = evaluation.report
-    low = 3 if report.degree == 6 else 2
+    low = CERTIFICATION_BY_DEGREE[report.degree][0]
     parts = [
         "δ′[%d]=%d" % (n, report.delta_prime[n])
         for n in sorted(report.delta_prime)

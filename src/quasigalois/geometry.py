@@ -143,20 +143,19 @@ class ProjLine:
     def spanning_points(self):
         """Two canonical points spanning the line.
 
-        With j the first index where the line has a nonzero coefficient, the
-        points are e_k - (coeff_k / coeff_j) e_j for the two indices k != j,
-        in increasing order of k.
+        With j the first index where the line has a nonzero coefficient, so
+        coeff_j = 1 by the canonical scaling, the points are e_k - coeff_k e_j
+        for the two indices k != j, in increasing order of k.
         """
         ctx = self.context
         j = next(i for i, c in enumerate(self.coeffs) if not c.is_zero())
-        inv = self.coeffs[j].inverse()
         pts = []
         for k in range(3):
             if k == j:
                 continue
             coords = [ctx.zero(), ctx.zero(), ctx.zero()]
             coords[k] = ctx.one()
-            coords[j] = -(self.coeffs[k] * inv)
+            coords[j] = -self.coeffs[k]
             pts.append(ProjPoint(ctx, coords))
         return pts[0], pts[1]
 
@@ -627,11 +626,13 @@ class PlaneCurve:
 
     __slots__ = ("form", "context", "degree")
 
+    MIN_DEGREE = 4
+
     def __init__(self, form):
-        if form.is_zero() or form.degree < 4:
+        if form.is_zero() or form.degree < self.MIN_DEGREE:
             raise ValueError(
-                "a plane curve needs a nonzero form of degree >= 4 "
-                "(below that, automorphisms need not be linear)"
+                "a plane curve needs a nonzero form of degree >= %d "
+                "(below that, automorphisms need not be linear)" % self.MIN_DEGREE
             )
         from .smoothness import is_smooth
 

@@ -31,7 +31,9 @@ Input bounds, the same for a file, a literal and a library call: a curve's
 degree is at most ``_MAX_DEGREE`` (8), a field's conductor at most
 ``_MAX_CONDUCTOR`` (10000) and an integer in a rational or a literal has at
 most ``_MAX_DIGITS`` (1000) digits.  A larger value raises SchemaError with
-the path of the offending entry.
+the path of the offending entry.  ``curve_from_json`` also needs degree at
+least ``PlaneCurve.MIN_DEGREE`` (4) and raises SchemaError at the curve's
+``degree`` below it; ``form_from_json`` takes any degree from 1.
 """
 
 from __future__ import annotations
@@ -324,7 +326,12 @@ def form_from_json(data, path="curve"):
 
 def curve_from_json(data, path="curve"):
     """Parse the curve schema and verify smoothness (raises NotSmooth)."""
-    return PlaneCurve(form_from_json(data, path))
+    form = form_from_json(data, path)
+    if form.degree < PlaneCurve.MIN_DEGREE:
+        raise SchemaError(
+            path + ".degree", "a curve needs degree at least %d" % PlaneCurve.MIN_DEGREE
+        )
+    return PlaneCurve(form)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +466,10 @@ def scalar_from_literal(text, context, path="literal"):
                 ) from None
             term = context.from_rational(value)
             if m.group("pz") is not None:
-                k = int(m.group("pk") or 1)
+                k = int(m.group("pk") or 1) % context.conductor
                 term = term * context.zeta() ** k
         else:
-            k = int(m.group("k") or 1)
+            k = int(m.group("k") or 1) % context.conductor
             term = context.zeta() ** k
             if factor < 0:
                 term = -term

@@ -101,18 +101,13 @@ def _full_rank_mod_p(form, target):
     ctx = form.context
     if ctx.lambda_sq is not None:
         return False
-    terms = form.terms
     red = next(
-        split_reductions(ctx.conductor, [c.den for c in terms.values()], _PRIME_FLOOR)
+        split_reductions(ctx.conductor, [c.den for c in form.terms.values()], _PRIME_FLOOR)
     )
     p = red.p
-    reduced = {e: r for e, c in terms.items() if (r := red.element(c))}
+    # A partial's denominators divide F's, so P reduces its coefficients too.
     partials = [
-        {
-            e[:v] + (e[v] - 1,) + e[v + 1 :]: e[v] * r % p
-            for e, r in reduced.items()
-            if e[v]
-        }
+        {e: r for e, c in form.partial(v).terms.items() if (r := red.element(c))}
         for v in range(3)
     ]
     return _full_rank(

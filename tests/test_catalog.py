@@ -6,6 +6,7 @@ import pytest
 
 from quasigalois import (
     FieldContext,
+    FieldElement,
     HomoPoly,
     NotSmooth,
     ParameterViolation,
@@ -154,3 +155,49 @@ def test_evaluate_pulls_back_once_per_classified_point(monkeypatch):
             assert len(calls) == 1, name
         else:
             assert len(calls) == len(ev.report.records), name
+
+
+def _normal_form(ctx, degree, terms):
+    coeffs = {
+        e: c if isinstance(c, FieldElement) else ctx.from_rational(Fraction(c))
+        for e, c in terms.items()
+    }
+    return HomoPoly(ctx, degree, coeffs)
+
+
+def _quartic(ctx, a=0, b=0):
+    """X^4 + Y^4 + Z^4 + aX^2Y^2 + b(Y^2Z^2 + X^2Z^2)."""
+    terms = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): a, (0, 2, 2): b, (2, 0, 2): b}
+    return _normal_form(ctx, 4, terms)
+
+
+def _delta_sextic(ctx, a=0):
+    """X^6 + 20X^3Y^3 - 8Y^6 + Z^6 + a(X^3YZ^2 + Y^4Z^2)."""
+    terms = {(6, 0, 0): 1, (3, 3, 0): 20, (0, 6, 0): -8, (0, 0, 6): 1, (3, 1, 2): a, (0, 4, 2): a}
+    return _normal_form(ctx, 6, terms)
+
+
+def test_each_curve_is_its_familys_normal_form():
+    def form(name, **params):
+        return catalog.make(name, **params).curve.form
+
+    c3, c4, c8 = FieldContext(3), FieldContext(4), FieldContext(8)
+    assert form("fermat_quartic") == _quartic(c8)
+    assert form("quartic_xy", a=1) == _quartic(c4, 1)
+    for a in (0, 6, -6):
+        inst = catalog.make("quartic_xy", a=a)
+        assert inst.curve.form == _quartic(inst.context, a), a
+        assert inst.extras["fermat_form"] == _quartic(inst.context), a
+    third = Fraction(1, 3)
+    assert form("quartic_symmetric", a=third) == _quartic(c4, third, third)
+    a8 = c8.zeta() ** 2 + 3
+    assert form("quartic_symmetric", a=a8) == _quartic(c8, a8, a8)
+    for a, b in ((1, 3), (Fraction(1, 2), 5)):
+        assert form("quartic_5family", a=a, b=b) == _quartic(c4, a, b)
+    klein = form("quartic_klein")
+    a = klein.coeff((2, 2, 0))
+    assert (a * a + a * 3 + 18).is_zero()
+    assert klein == _quartic(klein.context, a, a)
+    assert form("sextic_delta8") == _delta_sextic(FieldContext(24))
+    for a in (1, Fraction(3, 2)):
+        assert form("sextic_delta4", a=a) == _delta_sextic(c3, a), a

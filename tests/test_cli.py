@@ -363,6 +363,30 @@ def test_degree_above_the_input_budget_is_a_usage_error(tmp_path, capsys):
     assert err["error"]["path"].endswith(".degree")
 
 
+@pytest.mark.parametrize("command", ["analyze", "point", "profile", "closure", "oracle-census"])
+def test_curve_below_degree_four_is_a_usage_error(tmp_path, capsys, command):
+    # X^3 + Y^3 + Z^3 is a smooth form but not a curve the census accepts
+    from quasigalois import ProjMatrix
+
+    one = {"conductor": 1, "coords": ["1"]}
+    terms = [{"exps": e, "coeff": one} for e in ([3, 0, 0], [0, 3, 0], [0, 0, 3])]
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"field": {"conductor": 1}, "degree": 3, "terms": terms}))
+    gpath = generator_file(tmp_path, [ProjMatrix.identity(FieldContext(1))])
+    curve = ["--curve", str(path)]
+    argv = {
+        "analyze": ["analyze"] + curve,
+        "point": ["point"] + curve + ["--point", "1,0,0"],
+        "profile": ["profile"] + curve + ["--line", "0,0,1"],
+        "closure": ["closure"] + curve + ["--generators", gpath],
+        "oracle-census": ["oracle-census"] + curve + ["--order", "3"],
+    }[command]
+    assert main(argv + ["--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["path"] == "curve.degree"
+    assert main(["smooth"] + curve) == 0
+
+
 def test_verify_paper_list(capsys):
     assert main(["verify-paper", "--list"]) == 0
     out = capsys.readouterr().out

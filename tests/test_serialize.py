@@ -7,6 +7,7 @@ import pytest
 
 from quasigalois import (
     FieldContext,
+    FieldElement,
     NotSmooth,
     ProjLine,
     ProjMatrix,
@@ -218,6 +219,16 @@ def test_curve_from_json_enforces_smoothness():
         curve_from_json(data)
 
 
+def test_curve_from_json_needs_degree_four():
+    one = {"conductor": 1, "coords": ["1"]}
+    terms = [{"exps": e, "coeff": one} for e in ([3, 0, 0], [0, 3, 0], [0, 0, 3])]
+    data = {"field": {"conductor": 1}, "degree": 3, "terms": terms}
+    assert form_from_json(data).degree == 3
+    with pytest.raises(SchemaError) as info:
+        curve_from_json(data)
+    assert info.value.path == "curve.degree"
+
+
 def test_form_schema_rejections():
     base = {
         "field": {"conductor": 4},
@@ -333,6 +344,26 @@ def test_literal_parsing():
     assert p == ProjPoint.from_ints(ctx, (1, -1, 0))
     line = line_from_literal("0, 0, 1", ctx)
     assert line == ProjLine.from_ints(ctx, (0, 0, 1))
+
+
+def test_literal_power_of_zeta_is_reduced_mod_the_conductor(monkeypatch):
+    ctx = FieldContext(105)
+    k = "9" * _MAX_DIGITS
+    power = ctx.zeta() ** (int(k) % 105)
+    expected = {"z^" + k: power, "2*z^" + k: ctx.from_int(2) * power}
+    original = FieldElement.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    for text, value in expected.items():
+        calls.clear()
+        parsed = scalar_from_literal(text, ctx)
+        assert len(calls) <= 2 * (105).bit_length() + 2
+        assert parsed == value
 
 
 def test_literal_rejections():
