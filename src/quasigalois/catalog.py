@@ -38,12 +38,7 @@ def _element(ctx, value):
 
 
 def _form(ctx, degree, terms):
-    converted = {}
-    for exps, value in terms.items():
-        elem = _element(ctx, value)
-        if not elem.is_zero():
-            converted[exps] = elem
-    return HomoPoly(ctx, degree, converted)
+    return HomoPoly(ctx, degree, {e: _element(ctx, v) for e, v in terms.items()})
 
 
 def _points(ctx, specs):

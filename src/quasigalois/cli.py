@@ -18,8 +18,9 @@ Exit codes: 0 all requested checks pass; 1 a verification failed (for
 diagnostics.  With ``--format json`` errors are emitted as JSON objects.
 
 Input bounds: a curve's degree is at most 8, a field's conductor at most
-10000 and an integer in a file or literal at most 1000 digits (the
-``serialize`` constants ``_MAX_DEGREE``, ``_MAX_CONDUCTOR`` and
+210 (a bound on time: one field inversion is phi(N) - 1 conjugate products,
+about 3 s at the prime 199) and an integer in a file or literal at most 1000
+digits (the ``serialize`` constants ``_MAX_DEGREE``, ``_MAX_CONDUCTOR`` and
 ``_MAX_DIGITS``); ``--starts`` is at most 10^6 (the starts are drawn up
 front, 64 bytes each) and ``--cap`` at most 10^5.  A larger value exits 2
 with its path.  Every command except ``smooth`` needs a curve of degree at

@@ -17,12 +17,15 @@ with den > 0 is a unique normal form; the result is therefore identical, bit
 for bit, to the left-to-right sum of separately normalized products.
 
 A context may carry one formal square root l with l^2 = c for a chosen base
-element c.  The quotient ring K[l]/(l^2 - c) is used without deciding whether
-c is a square in K: if it is not, the ring is a field and nothing special ever
-happens; if it is, the first inversion of a zero divisor raises
-ZeroDivisorEncountered carrying the discovered factorization.  Identities
-proved by pure ring arithmetic in the quotient are valid for every embedding
-of l.
+element c.  An element is u + v*l with u, v in K = Q(zeta_N), and products in
+K[l] are built from products in K: (u1 + v1 l)(u2 + v2 l) = (u1 u2 + c v1 v2)
++ (u1 v2 + v1 u2) l takes five of them, and by the normal form above the
+result does not depend on the route.  The quotient ring K[l]/(l^2 - c) is used
+without deciding whether c is a square in K: if it is not, the ring is a field
+and nothing special ever happens; if it is, the first inversion of a zero
+divisor raises ZeroDivisorEncountered carrying the discovered factorization.
+Identities proved by pure ring arithmetic in the quotient are valid for every
+embedding of l.
 """
 
 from __future__ import annotations
@@ -456,24 +459,13 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         ctx = self.context
-        mod = ctx.modulus
-        m = ctx.degree
         if ctx.lambda_sq is None:
-            vec = _reduce_mod(_conv(self.nums, other.nums), mod)
+            vec = _reduce_mod(_conv(self.nums, other.nums), ctx.modulus)
             return _make(ctx, tuple(vec), self.den * other.den)
-        u1, v1 = self.nums[:m], self.nums[m:]
-        u2, v2 = other.nums[:m], other.nums[m:]
-        c = ctx.lambda_sq
-        uu = _reduce_mod(_conv(u1, u2), mod)
-        vv = _reduce_mod(_conv(v1, v2), mod)
-        uv = _reduce_mod(
-            [a + b for a, b in zip(_conv(u1, v2), _conv(v1, u2))], mod
+        (u1, v1), (u2, v2) = self.parts(), other.parts()
+        return ctx.from_parts(
+            u1 * u2 + ctx.lambda_sq * (v1 * v2), u1 * v2 + v1 * u2
         )
-        # u-part: u1*u2 + c*v1*v2, common denominator d1*d2*c.den
-        cvv = _reduce_mod(_conv(vv, c.nums), mod)
-        upart = [a * c.den + b for a, b in zip(uu, cvv)]
-        vpart = [a * c.den for a in uv]
-        return _make(ctx, tuple(upart + vpart), self.den * other.den * c.den)
 
     __rmul__ = __mul__
 

@@ -1,9 +1,11 @@
 """Projective plane geometry and ternary forms over a field context.
 
-Points and lines are stored in a canonical scaling (first nonzero coordinate
-equal to 1) so that equality and hashing are projective.  Ternary forms are
-sparse exponent dictionaries; restriction to a line produces a binary form in
-a parametrization by two canonical spanning points, from which intersection
+Points and lines share one body, a canonical triple `coords` scaled so its
+first nonzero entry is 1 (a line's `coeffs` is the same triple), so equality
+and hashing are projective; forms are compared up to a scalar, and matrices
+keyed, by the same scaling.  Ternary forms are sparse exponent
+dictionaries; restriction to a line produces a binary form in a
+parametrization by two canonical spanning points, from which intersection
 multiplicities and full intersection profiles are computed exactly.
 
 Every entry of a matrix product, point or line image, 2x2 minor (cross
@@ -80,15 +82,15 @@ def _powers(base, d, one):
     return out
 
 
-class ProjPoint:
-    """Point of the projective plane, canonically scaled."""
+class _Triple:
+    """The canonical triple of points and lines; a point never equals a line."""
 
     __slots__ = ("context", "coords")
 
     def __init__(self, context, coords):
         coords = [context.embed(c) if c.context is not context else c for c in coords]
         if len(coords) != 3:
-            raise ValueError("a plane point needs 3 coordinates")
+            raise ValueError(self._LENGTH_MESSAGE)
         self.context = context
         self.coords = _canonicalize(coords)
 
@@ -100,32 +102,33 @@ class ProjPoint:
         return tuple(c.key() for c in self.coords)
 
     def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.coords == other.coords
 
     def __hash__(self):
         return hash(self.key())
 
+
+class ProjPoint(_Triple):
+    """Point of the projective plane, canonically scaled."""
+
+    __slots__ = ()
+    _LENGTH_MESSAGE = "a plane point needs 3 coordinates"
+
     def __repr__(self):
         return "(%r : %r : %r)" % self.coords
 
 
-class ProjLine:
+class ProjLine(_Triple):
     """Line a*X + b*Y + c*Z = 0, coefficients canonically scaled."""
 
-    __slots__ = ("context", "coeffs")
+    __slots__ = ()
+    _LENGTH_MESSAGE = "a line needs 3 coefficients"
 
-    def __init__(self, context, coeffs):
-        coeffs = [context.embed(c) if c.context is not context else c for c in coeffs]
-        if len(coeffs) != 3:
-            raise ValueError("a line needs 3 coefficients")
-        self.context = context
-        self.coeffs = _canonicalize(coeffs)
-
-    @classmethod
-    def from_ints(cls, context, ints):
-        return cls(context, [context.from_int(k) for k in ints])
+    @property
+    def coeffs(self):
+        return self.coords
 
     @classmethod
     def through(cls, p, q):
@@ -135,7 +138,7 @@ class ProjLine:
         return cls(p.context, _cross(p.coords, q.coords))
 
     def evaluate(self, point):
-        return self.context.dot(self.coeffs, point.coords)
+        return self.context.dot(self.coords, point.coords)
 
     def contains(self, point):
         return self.evaluate(point).is_zero()
@@ -148,14 +151,14 @@ class ProjLine:
         for the two indices k != j, in increasing order of k.
         """
         ctx = self.context
-        j = next(i for i, c in enumerate(self.coeffs) if not c.is_zero())
+        j = next(i for i, c in enumerate(self.coords) if not c.is_zero())
         pts = []
         for k in range(3):
             if k == j:
                 continue
             coords = [ctx.zero(), ctx.zero(), ctx.zero()]
             coords[k] = ctx.one()
-            coords[j] = -self.coeffs[k]
+            coords[j] = -self.coords[k]
             pts.append(ProjPoint(ctx, coords))
         return pts[0], pts[1]
 
@@ -163,21 +166,10 @@ class ProjLine:
         """Intersection point of two distinct lines (cross product)."""
         if self == other:
             raise ValueError("lines coincide; no unique intersection")
-        return ProjPoint(self.context, _cross(self.coeffs, other.coeffs))
-
-    def key(self):
-        return tuple(c.key() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjLine):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.key())
+        return ProjPoint(self.context, _cross(self.coords, other.coords))
 
     def __repr__(self):
-        return "Line[%r, %r, %r]" % self.coeffs
+        return "Line[%r, %r, %r]" % self.coords
 
 
 class ProjMatrix:
@@ -211,12 +203,6 @@ class ProjMatrix:
         ctx = p1.context
         cols = [p1.coords, p2.coords, p3.coords]
         return cls(ctx, [[cols[j][i] for j in range(3)] for i in range(3)])
-
-    @classmethod
-    def diagonal(cls, context, entries):
-        zero = context.zero()
-        e = [context.embed(x) if hasattr(x, "context") else context.from_rational(x) for x in entries]
-        return cls(context, [[e[0], zero, zero], [zero, e[1], zero], [zero, zero, e[2]]])
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -259,7 +245,7 @@ class ProjMatrix:
     def apply_to_line(self, line):
         """Image of a line under the point action x -> Mx (covector * M^-1)."""
         dot = self.context.dot
-        a = line.coeffs
+        a = line.coords
         return ProjLine(
             self.context, [dot(a, col) for col in zip(*self.inverse().rows)]
         )
@@ -523,17 +509,12 @@ class HomoPoly:
 
     def proportional_to(self, other):
         """True when the two forms differ by a nonzero scalar factor."""
-        if self.degree != other.degree:
+        if self.degree != other.degree or self.terms.keys() != other.terms.keys():
             return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if set(self.terms) != set(other.terms):
-            return False
-        e0 = next(iter(sorted(self.terms)))
-        ratio = other.terms[e0] * self.terms[e0].inverse()
-        return all(
-            other.terms[e] == c * ratio for e, c in self.terms.items()
-        )
+        exps = sorted(self.terms)
+        mine = [self.terms[e] for e in exps]
+        theirs = [other.terms[e] for e in exps]
+        return not exps or _canonicalize(mine) == _canonicalize(theirs)
 
     def __repr__(self):
         names = ("X", "Y", "Z")

@@ -41,6 +41,8 @@ from .geometry import (
     intersection_multiplicity,
 )
 
+_ORDER_CAP = 256  # the largest ratio order homology_from_matrix recognizes
+
 
 class Homology:
     """A homology (matrix, center, axis, ratio, multiplicative order)."""
@@ -223,7 +225,7 @@ def classify_point(form, point):
     return PointRecord(point, on_curve, deg_pi, g, generator, tangency)
 
 
-def homology_from_matrix(matrix, order_cap=256):
+def homology_from_matrix(matrix):
     """Recognize a matrix as a homology; raises NotAHomology otherwise.
 
     The characteristic polynomial t^3 - s1 t^2 + s2 t - s3 must have a double
@@ -238,12 +240,9 @@ def homology_from_matrix(matrix, order_cap=256):
     """
     ctx = matrix.context
     r = matrix.rows
+    adj = matrix.adjugate().rows  # its diagonal: the principal 2x2 minors
     s1 = r[0][0] + r[1][1] + r[2][2]
-    s2 = (
-        (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
-        + (r[0][0] * r[1][1] - r[0][1] * r[1][0])
-    )
+    s2 = adj[0][0] + adj[1][1] + adj[2][2]
     s3 = matrix.det()
     gap = s1 * s1 - 3 * s2
     if gap.is_zero():
@@ -288,7 +287,7 @@ def homology_from_matrix(matrix, order_cap=256):
     if center is None:
         raise NotAHomology("the simple eigenspace is degenerate")
     zeta = mu * nu.inverse()
-    order = multiplicative_order(zeta, cap=order_cap)
+    order = multiplicative_order(zeta, cap=_ORDER_CAP)
     if order is None:
         raise NotAHomology("the ratio is not a root of unity within the cap")
     return Homology(matrix, center, axis, zeta, order)

@@ -144,18 +144,17 @@ def numeric_curve(curve_or_form):
 # ---------------------------------------------------------------------------
 
 
-def numeric_spot_check(curve, matrix, samples=64, seed=0):
-    """Max proportionality residual |F(Mx)F(y) - F(My)F(x)| over random pairs.
+def numeric_spot_check(curve, matrix):
+    """Max proportionality residual |F(Mx)F(y) - F(My)F(x)| over 64 random pairs.
 
-    Residuals stay below roughly 1e-10 when the matrix maps the curve to
-    itself, and are of order one for a generic non-automorphism.
+    The pairs come from seed 0.  Residuals stay below roughly 1e-10 when the
+    matrix maps the curve to itself, and are of order one for a generic
+    non-automorphism.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
     mat = matrix if isinstance(matrix, np.ndarray) else embed_matrix(matrix)
-    rng = np.random.default_rng(seed)
-    shape = (samples, 3)
+    rng = np.random.default_rng(0)
+    shape = (64, 3)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     x /= np.linalg.norm(x, axis=1, keepdims=True)

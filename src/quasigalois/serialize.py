@@ -29,11 +29,12 @@ of terms ``p/q``, ``z^k`` (a power of the field's primitive root of unity) or
 
 Input bounds, the same for a file, a literal and a library call: a curve's
 degree is at most ``_MAX_DEGREE`` (8), a field's conductor at most
-``_MAX_CONDUCTOR`` (10000) and an integer in a rational or a literal has at
-most ``_MAX_DIGITS`` (1000) digits.  A larger value raises SchemaError with
-the path of the offending entry.  ``curve_from_json`` also needs degree at
-least ``PlaneCurve.MIN_DEGREE`` (4) and raises SchemaError at the curve's
-``degree`` below it; ``form_from_json`` takes any degree from 1.
+``_MAX_CONDUCTOR`` (210, a bound on time: see the constant) and an integer
+in a rational or a literal has at most ``_MAX_DIGITS`` (1000) digits.  A
+larger value raises SchemaError with the path of the offending entry.
+``curve_from_json`` also needs degree at least ``PlaneCurve.MIN_DEGREE`` (4)
+and raises SchemaError at the curve's ``degree`` below it;
+``form_from_json`` takes any degree from 1.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ _DIGITS_RE = re.compile(r"\d+")
 # degree 4 and 6; the exact smoothness rank of a dense singular form of
 # degree 8 over Q(zeta_3) already takes about 40 s.
 _MAX_DEGREE = 8
-# The largest conductor N accepted from input: arithmetic cost grows with
-# phi(N), and the field's modulus alone is a list of N + 1 integers.
-_MAX_CONDUCTOR = 10000
+# The largest conductor N accepted from input; it bounds time.  An inversion
+# multiplies phi(N) - 1 conjugates: about 3 s at the prime 199, the slowest
+# field up to 210, and a minute at 1155.  The catalog needs at most 28.
+_MAX_CONDUCTOR = 210
 # The most digits in one integer of a rational or a literal.  No catalog
 # curve, census report or group export has an integer of more than 3 digits;
 # past 4300 digits int() itself raises a bare ValueError.
@@ -242,21 +244,13 @@ def matrix_to_json(matrix):
 def matrix_from_json(data, context, path="matrix"):
     if not isinstance(data, list) or len(data) != 3:
         raise SchemaError(path, "expected a list of 3 rows")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaError(
-                "%s[%d]" % (path, i), "expected a list of 3 field elements"
-            )
-        rows.append(
-            [
-                element_from_json(
-                    c, path="%s[%d][%d]" % (path, i, j), context=context
-                )
-                for j, c in enumerate(row)
-            ]
-        )
-    return ProjMatrix(context, rows)
+    return ProjMatrix(
+        context,
+        [
+            _vector_from_json(row, context, "%s[%d]" % (path, i))
+            for i, row in enumerate(data)
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

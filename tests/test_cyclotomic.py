@@ -14,7 +14,7 @@ from quasigalois import (
     euler_phi,
     multiplicative_order,
 )
-from quasigalois.cyclotomic import _conjugate
+from quasigalois.cyclotomic import _conjugate, _conv, _reduce_mod
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
 
@@ -285,3 +285,46 @@ def test_dot_accepts_compatible_contexts_and_rejects_incompatible_ones():
             ctx.dot([ctx.one()], [bad])
     with pytest.raises(ValueError):
         ext.dot([ext.one()], [other.one()])
+
+
+def _five_convolution_product(x, y):
+    """The K[l] product __mul__ used before: five convolutions over one denominator."""
+    ctx = x.context
+    mod, m, c = ctx.modulus, ctx.degree, ctx.lambda_sq
+    u1, v1 = x.nums[:m], x.nums[m:]
+    u2, v2 = y.nums[:m], y.nums[m:]
+    uu = _reduce_mod(_conv(u1, u2), mod)
+    vv = _reduce_mod(_conv(v1, v2), mod)
+    uv = _reduce_mod([a + b for a, b in zip(_conv(u1, v2), _conv(v1, u2))], mod)
+    cvv = _reduce_mod(_conv(vv, c.nums), mod)
+    upart = [a * c.den + b for a, b in zip(uu, cvv)]
+    vpart = [a * c.den for a in uv]
+    return ctx.from_coords(
+        [Fraction(n, x.den * y.den * c.den) for n in upart + vpart]
+    )
+
+
+def test_extension_products_match_the_five_convolution_formula():
+    # 3/4 z^2 = (r z)^2 with r = (z + z^11) / 2 = sqrt(3)/2 in Q(zeta_12); the
+    # only quadratic subfield of Q(zeta_5) is Q(sqrt 5), so 2/3 z^2 is no square
+    rng = random.Random(20261019)
+    z12 = FieldContext(12)
+    w = z12.zeta()
+    root = (w + w ** 11) * w * Fraction(1, 2)
+    square = z12.extend_sqrt(z12.from_rational(Fraction(3, 4)) * w ** 2)
+    assert root * root == square.lambda_sq
+    z5 = FieldContext(5)
+    non_square = z5.extend_sqrt(z5.from_rational(Fraction(2, 3)) * z5.zeta() ** 2)
+    for ext, divisor in ((square, root), (non_square, None)):
+        g = ext.sqrt_generator()
+        samples = [random_element(ext, rng) for _ in range(40)]
+        samples += [ext.zero(), ext.one(), g, ext.embed(ext.lambda_sq)]
+        if divisor is not None:
+            samples += [g - ext.embed(divisor), g + ext.embed(divisor)]
+            assert ((g - ext.embed(divisor)) * (g + ext.embed(divisor))).is_zero()
+        for _ in range(60):
+            x, y = rng.choice(samples), rng.choice(samples)
+            product = x * y
+            assert product.key() == _five_convolution_product(x, y).key()
+            assert product.context is ext
+        assert g * g == ext.embed(ext.lambda_sq)

@@ -520,3 +520,68 @@ def test_sum_of_products_kernel_matches_the_elementwise_formulas():
             assert m.apply_to_line(line).key() == ProjLine(
                 ctx, _old_line_image(r, line.coeffs)
             ).key()
+
+
+def test_a_point_never_equals_the_line_with_its_coordinates():
+    ctx = FieldContext(12)
+    rng = random.Random(20261019)
+    for _ in range(20):
+        coords = _nonzero_triple(ctx, rng)
+        p, line = ProjPoint(ctx, coords), ProjLine(ctx, coords)
+        assert p.coords == line.coords == line.coeffs
+        assert p.key() == line.key() and hash(p) == hash(line)
+        assert p != line and line != p
+        assert not (p == line) and not (line == p)
+        table = {p: "point", line: "line"}
+        assert len(table) == 2
+        assert table[ProjPoint(ctx, coords)] == "point"
+        assert table[ProjLine(ctx, coords)] == "line"
+    with pytest.raises(ValueError, match="a plane point needs 3 coordinates"):
+        ProjPoint.from_ints(ctx, (1, 0))
+    with pytest.raises(ValueError, match="a line needs 3 coefficients"):
+        ProjLine.from_ints(ctx, (1, 0, 0, 0))
+
+
+def _ratio_proportional(f, g):
+    """The ratio test proportional_to used before: one inverse, then c * ratio."""
+    if f.degree != g.degree:
+        return False
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    if set(f.terms) != set(g.terms):
+        return False
+    e0 = next(iter(sorted(f.terms)))
+    ratio = g.terms[e0] * f.terms[e0].inverse()
+    return all(g.terms[e] == c * ratio for e, c in f.terms.items())
+
+
+def test_proportional_to_matches_the_ratio_test():
+    rng = random.Random(20261020)
+    for ctx in _kernel_contexts():
+        zero4, zero6 = HomoPoly.zero(ctx, 4), HomoPoly.zero(ctx, 6)
+        for _ in range(12):
+            degree = rng.choice((4, 6))
+            f = random_kernel_form(ctx, rng, degree, dense=rng.random() < 0.5)
+            s = random_element(ctx, rng)
+            while s.is_zero() or s.is_rational():
+                s = random_element(ctx, rng)
+            e = rng.choice(sorted(f.terms))
+            bumped = dict(f.scale(s).terms)
+            bumped[e] = bumped[e] + ctx.one()
+            dropped = {k: c for k, c in f.terms.items() if k != e}
+            for g in (
+                f,
+                f.scale(s),
+                HomoPoly(ctx, degree, bumped),
+                HomoPoly(ctx, degree, dropped),
+                random_kernel_form(ctx, rng, degree, dense=False),
+                zero4,
+                zero6,
+            ):
+                for a, b in ((f, g), (g, f), (g, g)):
+                    assert a.proportional_to(b) == _ratio_proportional(a, b)
+            assert f.proportional_to(f.scale(s))
+            assert not f.proportional_to(HomoPoly(ctx, degree, dropped))
+            if len(f.terms) > 1:
+                assert not f.proportional_to(HomoPoly(ctx, degree, bumped))
+        assert zero4.proportional_to(zero4) and not zero4.proportional_to(zero6)

@@ -373,3 +373,40 @@ def test_literal_rejections():
             point_from_literal(bad, ctx)
     with pytest.raises(SchemaError):
         point_from_literal("0, 0, 0", ctx)
+
+
+def test_conductor_past_the_ceiling_is_rejected():
+    # one inversion at conductor 1155 (phi = 480) takes about a minute
+    with pytest.raises(SchemaError) as info:
+        field_from_json({"conductor": 1155}, "f")
+    assert info.value.path == "f.conductor"
+
+
+def test_matrix_from_json_reports_the_row_and_the_entry():
+    ctx = FieldContext(8)
+    good = matrix_to_json(ProjMatrix.identity(ctx))
+    for data, path, message in (
+        ({}, "m", "expected a list of 3 rows"),
+        (good[:2], "m", "expected a list of 3 rows"),
+        ([good[0], good[1][:2], good[2]], "m[1]", "expected a list of 3 field elements"),
+        ([good[0], good[1], "row"], "m[2]", "expected a list of 3 field elements"),
+        (
+            [good[0], good[1], [good[2][0], {"conductor": 8, "coords": ["1"]}, good[2][2]]],
+            "m[2][1].coords",
+            "expected 4 coordinates, got 1",
+        ),
+        (
+            [[good[0][0], good[0][1], {"conductor": 12, "coords": ["1"] * 4}], good[1], good[2]],
+            "m[0][2].conductor",
+            "expected conductor 8, got 12",
+        ),
+        (
+            [good[0], [good[1][0], {"conductor": 8, "coords": ["x", "0", "0", "0"]}, good[1][2]], good[2]],
+            "m[1][1].coords[0]",
+            "not a rational 'p/q': 'x'",
+        ),
+    ):
+        with pytest.raises(SchemaError) as info:
+            matrix_from_json(data, ctx, path="m")
+        assert (info.value.path, info.value.message) == (path, message)
+    assert matrix_from_json(good, ctx, path="m") == ProjMatrix.identity(ctx)
