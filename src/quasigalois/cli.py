@@ -43,6 +43,7 @@ from .groups import group_closure
 from .homology import classify_point
 from .oracle import numeric_census
 from .serialize import (
+    _check_object,
     curve_from_json,
     form_from_json,
     generators_from_json,
@@ -106,9 +107,7 @@ def _default_seeds(context):
 def _load_seeds(path, context):
     data = _load_json(path)
     if isinstance(data, dict):
-        unknown = set(data) - {"points"}
-        if unknown:
-            raise SchemaError("seeds", "unknown keys %s" % sorted(unknown))
+        _check_object(data, "seeds", {"points"})
         data = data.get("points")
     if not isinstance(data, list) or not data:
         raise SchemaError("seeds", "expected a nonempty list of points")

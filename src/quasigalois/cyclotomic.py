@@ -78,18 +78,25 @@ def cyclotomic_polynomial(n):
     return result
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, in increasing order (trial division)."""
+    out = []
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            out.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n):
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -296,25 +303,34 @@ class FieldContext:
             m //= 2
         return m
 
-    def root_of_unity(self, n):
-        """A primitive n-th root of unity, or RootOfUnityUnavailable.
+    def _roots_of_unity(self):
+        """(w, g): the order and a generator of mu(K), the roots of unity of K.
 
-        zeta_n exists in Q(zeta_N) iff n | N, or N is odd and n | 2N (the
-        group of roots of unity has order N for even N and 2N for odd N).
+        For K = Q(zeta_N), mu(K) is cyclic of order w = N for even N and
+        w = 2N for odd N (L. Washington, Introduction to Cyclotomic Fields,
+        GTM 83, ch. 2).  g is zeta for even N and, for odd N, the square root
+        -zeta^((N+1)/2) of zeta, of order 2N.
+        """
+        N = self.conductor
+        if N % 2 == 0:
+            return N, self.zeta()
+        return 2 * N, -(self.zeta() ** ((N + 1) // 2))
+
+    def root_of_unity(self, n):
+        """A primitive n-th root of unity g^(w/n), or RootOfUnityUnavailable.
+
+        zeta_n exists in Q(zeta_N) iff n divides w, with (w, g) the order and
+        generator of mu(K) from _roots_of_unity.
         """
         if n < 1:
             raise ValueError("order must be positive")
         cached = self._root_cache.get(n)
         if cached is not None:
             return cached
-        N = self.conductor
-        if N % n == 0:
-            result = self.zeta() ** (N // n)
-        elif N % 2 == 1 and (2 * N) % n == 0:
-            # zeta_{2N} = -zeta_N^((N+1)/2); raise it to 2N/n.
-            result = (-(self.zeta() ** ((N + 1) // 2))) ** (2 * N // n)
-        else:
-            raise RootOfUnityUnavailable(n, N, self.suggested_conductor(n))
+        w, g = self._roots_of_unity()
+        if w % n:
+            raise RootOfUnityUnavailable(n, self.conductor, self.suggested_conductor(n))
+        result = g ** (w // n)
         self._root_cache[n] = result
         return result
 
@@ -589,12 +605,24 @@ def _inv_base(e):
     return _make(ctx, tuple(c * q for c in rest.nums), rest.den * p)
 
 
-def multiplicative_order(e, cap=2048):
-    """Order of e in the multiplicative group, or None if it exceeds cap."""
-    one = e.context.one()
-    acc = e
-    for k in range(1, cap + 1):
-        if acc == one:
-            return k
-        acc = acc * e
-    return None
+def multiplicative_order(e):
+    """Order of e in the multiplicative group, or None if e is not a root of unity.
+
+    Every root of unity of the context has order dividing W: W = w, the order
+    of mu(K), in a plain context, and W = 6w in K[l].  If K[l] is a field,
+    each cyclotomic subfield Q(zeta_m) of it has degree at most 2 over K, so
+    phi(m) <= 2 phi(w) with w | m leaves m in {w, 2w, 3w} (w is even, and
+    3w only when 3 does not divide w); if c is a square in K, K[l] is K x K
+    and m divides w.  So e is a root of unity iff e^W = 1, and its order is
+    W with each prime q divided out while e^(W/q) = 1.
+    """
+    ctx = e.context
+    W = ctx._roots_of_unity()[0] * (1 if ctx.lambda_sq is None else 6)
+    one = ctx.one()
+    if e ** W != one:
+        return None
+    order = W
+    for q in _prime_factors(W):
+        while order % q == 0 and e ** (order // q) == one:
+            order //= q
+    return order

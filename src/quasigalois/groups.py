@@ -14,6 +14,8 @@ groups on four letters).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import (
     ClosureCapExceeded,
     CurveNotPreserved,
@@ -116,11 +118,7 @@ def projective_order(matrix, cap=1000):
 
 def order_histogram(group):
     """Map projective element order -> count over the whole group."""
-    histogram = {}
-    for m in group:
-        o = projective_order(m, cap=len(group))
-        histogram[o] = histogram.get(o, 0) + 1
-    return histogram
+    return dict(Counter(projective_order(m, cap=len(group)) for m in group))
 
 
 def _raw_apply(matrix, coords):
@@ -194,8 +192,5 @@ def line_action_analysis(group, line):
             "line action must be a homomorphism: |G| = |kernel| * |image|"
         )
     dot = line.context.dot
-    histogram = {}
-    for r2 in images.values():
-        o = _scalar_order(r2, dot, cap=len(group))
-        histogram[o] = histogram.get(o, 0) + 1
-    return LineActionReport(len(group), kernel_order, len(images), histogram)
+    orders = Counter(_scalar_order(r2, dot, cap=len(group)) for r2 in images.values())
+    return LineActionReport(len(group), kernel_order, len(images), dict(orders))

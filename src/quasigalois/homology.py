@@ -17,7 +17,7 @@ F has no X^(d-1) term and the axis is the polar line t . x = 0, with
 t = grad F(P); Euler's identity t . P = d F(P) decides which case holds.  On
 the curve the top degree is d - 1, so F has no X^(d-2) term and the polar
 conic x^T Hess F(P) x is the tangent line times the axis: with t_k != 0 and
-H = Hess F(P) the axis is 2 H[:, k] - (H_kk / t_k) t.  One pullback G = F(B x) =
+H = Hess F(P) the axis is 2 t_k H[:, k] - H_kk t.  One pullback G = F(B x) =
 sum_i X^i * A_i(Y, Z), with B's columns P and two points spanning the axis,
 then settles the order: the homology with that axis and ratio zeta maps G to
 sum_i zeta^i X^i A_i, a multiple of G exactly when zeta^(m - i) = 1 for
@@ -40,8 +40,6 @@ from .geometry import (
     _cross,
     intersection_multiplicity,
 )
-
-_ORDER_CAP = 256  # the largest ratio order homology_from_matrix recognizes
 
 
 class Homology:
@@ -98,9 +96,11 @@ def homology_matrix(center, axis, zeta):
 def _axis_and_order(form, point):
     """(on_curve, axis, g, t) at a point, by the solver of the module docstring.
 
-    The inner axis a never passes through the point, so B is invertible:
-    H P = (d - 1) t and t . P = 0 give a . P = 2 (d - 1) t_k != 0.  At an
-    inner point t = grad F(P) is also the tangent line.
+    The inner axis a = 2 t_k H[:, k] - H_kk t is the polar conic divided by
+    the tangent line, scaled by t_k so that no division is needed.  It never
+    passes through the point, so B is invertible: H P = (d - 1) t and
+    t . P = 0 give a . P = 2 (d - 1) t_k^2 != 0.  At an inner point
+    t = grad F(P) is also the tangent line.
     """
     ctx = form.context
     t = form.gradient_at(point)
@@ -113,9 +113,8 @@ def _axis_and_order(form, point):
         )
     if on_curve:
         h = form.partial(k).gradient_at(point)  # column k of Hess F(P)
-        s = h[k] * t[k].inverse()
-        two = ctx.from_int(2)
-        axis = ProjLine(ctx, [two * h[j] - s * t[j] for j in range(3)])
+        two_tk = ctx.from_int(2) * t[k]
+        axis = ProjLine(ctx, [two_tk * h[j] - h[k] * t[j] for j in range(3)])
     else:
         axis = ProjLine(ctx, t)
     G = form.pullback(ProjMatrix.from_columns(point, *axis.spanning_points()))
@@ -230,13 +229,14 @@ def homology_from_matrix(matrix):
 
     The characteristic polynomial t^3 - s1 t^2 + s2 t - s3 must have a double
     eigenvalue nu and a simple one mu with rank(M - nu I) = 1; then the axis
-    is the row space of M - nu I, the center spans the kernel of M - mu I,
-    and the ratio is mu / nu.  The eigenvalues come in closed form: roots
-    nu, nu, mu give s1^2 - 3 s2 = (nu - mu)^2 and s1 s2 - 9 s3 =
-    2 nu (nu - mu)^2.  So s1^2 = 3 s2 rules out a homology (a triple root,
-    or distinct roots such as those of a 3-cycle); otherwise nu is the
-    quotient of the two, mu = s1 - 2 nu, and the candidate is kept only when
-    s2 = nu^2 + 2 nu mu and s3 = nu^2 mu hold exactly.
+    is the row space of M - nu I, the center its column space, and the ratio
+    mu / nu, whose order multiplicative_order reads off mu(K).  The
+    eigenvalues come in closed form: roots nu, nu, mu give s1^2 - 3 s2 =
+    (nu - mu)^2 and s1 s2 - 9 s3 = 2 nu (nu - mu)^2.  So s1^2 = 3 s2 rules
+    out a homology (a triple root, or distinct roots such as those of a
+    3-cycle); otherwise nu is the quotient of the two, mu = s1 - 2 nu, and
+    the candidate is kept only when s2 = nu^2 + 2 nu mu and s3 = nu^2 mu hold
+    exactly.
     """
     ctx = matrix.context
     r = matrix.rows
@@ -258,36 +258,19 @@ def homology_from_matrix(matrix):
         [r[i][j] - (nu if i == j else ctx.zero()) for j in range(3)]
         for i in range(3)
     ]
-    axis_row = None
-    for row in shifted:
-        if any(not c.is_zero() for c in row):
-            axis_row = row
-            break
-    if axis_row is None:
-        raise NotAHomology("the matrix is scalar")
+    # M - nu I is not zero: a scalar matrix has s1^2 = 3 s2
+    axis_row = next(row for row in shifted if any(not c.is_zero() for c in row))
     for row in shifted:
         # cross product with the chosen row must vanish (proportionality)
         if any(not c.is_zero() for c in _cross(axis_row, row)):
             raise NotAHomology("the repeated eigenspace is not a plane")
     axis = ProjLine(ctx, axis_row)
-    # center: kernel of M - mu I via cross products of two independent rows
-    shifted_mu = [
-        [r[i][j] - (mu if i == j else ctx.zero()) for j in range(3)]
-        for i in range(3)
-    ]
-    center = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            cross = _cross(shifted_mu[i], shifted_mu[j])
-            if any(not c.is_zero() for c in cross):
-                center = ProjPoint(ctx, cross)
-                break
-        if center is not None:
-            break
-    if center is None:
-        raise NotAHomology("the simple eigenspace is degenerate")
+    # M - nu I = u v^T with v^T u = mu - nu != 0, so M u = mu u: the center is
+    # any nonzero column, as the axis is any nonzero row
+    k = next(j for j, c in enumerate(axis_row) if not c.is_zero())
+    center = ProjPoint(ctx, [row[k] for row in shifted])
     zeta = mu * nu.inverse()
-    order = multiplicative_order(zeta, cap=_ORDER_CAP)
+    order = multiplicative_order(zeta)
     if order is None:
-        raise NotAHomology("the ratio is not a root of unity within the cap")
+        raise NotAHomology("the ratio is not a root of unity")
     return Homology(matrix, center, axis, zeta, order)

@@ -14,19 +14,7 @@ that map; `split_reductions` lists the good ones in increasing order of p
 
 from __future__ import annotations
 
-
-def _prime_factors(n):
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .cyclotomic import _prime_factors
 
 
 def _is_prime(n):

@@ -89,6 +89,12 @@ def embed_matrix(matrix):
     )
 
 
+def _monomials(pts, exps):
+    """The (k, m) monomial table of (k, 3) points at (m, 3) exponent rows."""
+    x, y, z = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
+    return x ** exps[:, 0] * y ** exps[:, 1] * z ** exps[:, 2]
+
+
 class NumericCurve:
     """A plane curve with complex-double coefficients, max |coeff| = 1."""
 
@@ -121,13 +127,7 @@ class NumericCurve:
 
     def evaluate_many(self, points):
         """Evaluate at an (k, 3) array of complex points; returns shape (k,)."""
-        pts = np.asarray(points, dtype=complex)
-        mono = (
-            pts[:, 0:1] ** self.exps[:, 0]
-            * pts[:, 1:2] ** self.exps[:, 1]
-            * pts[:, 2:3] ** self.exps[:, 2]
-        )
-        return mono @ self.coeffs
+        return _monomials(np.asarray(points, dtype=complex), self.exps) @ self.coeffs
 
     def evaluate(self, point):
         return self.evaluate_many(np.asarray(point, dtype=complex).reshape(1, 3))[0]
@@ -204,12 +204,7 @@ def _proportionality_samples(degree, k):
     for _ in range(32):
         pts = rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        vander = (
-            pts[:, 0:1] ** exps[:, 0]
-            * pts[:, 1:2] ** exps[:, 1]
-            * pts[:, 2:3] ** exps[:, 2]
-        )
-        sv = np.linalg.svd(vander, compute_uv=False)
+        sv = np.linalg.svd(_monomials(pts, exps), compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:
             break
     return pts

@@ -235,10 +235,7 @@ def line_from_json(data, context, path="line"):
 
 
 def matrix_to_json(matrix):
-    return [
-        [element_to_json(matrix.entry(i, j)) for j in range(3)]
-        for i in range(3)
-    ]
+    return [_vector_to_json(row) for row in matrix.rows]
 
 
 def matrix_from_json(data, context, path="matrix"):

@@ -15,6 +15,7 @@ from quasigalois import (
     multiplicative_order,
 )
 from quasigalois.cyclotomic import _conjugate, _conv, _reduce_mod
+from quasigalois.serialize import _MAX_CONDUCTOR
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
 
@@ -197,8 +198,8 @@ def test_context_compatibility_and_signature():
 
 def test_multiplicative_order_returns_none_for_non_roots():
     ctx = FieldContext(4)
-    assert multiplicative_order(ctx.from_int(2), cap=64) is None
-    assert multiplicative_order(ctx.zero(), cap=64) is None
+    assert multiplicative_order(ctx.from_int(2)) is None
+    assert multiplicative_order(ctx.zero()) is None
 
 
 def test_galois_conjugation_is_a_ring_map_fixing_the_rationals():
@@ -328,3 +329,72 @@ def test_extension_products_match_the_five_convolution_formula():
             assert product.key() == _five_convolution_product(x, y).key()
             assert product.context is ext
         assert g * g == ext.embed(ext.lambda_sq)
+
+
+def _linear_search_order(e, cap=2048):
+    """The former multiplicative_order: count products up to a cap."""
+    one = e.context.one()
+    acc = e
+    for k in range(1, cap + 1):
+        if acc == one:
+            return k
+        acc = acc * e
+    return None
+
+
+def test_multiplicative_order_matches_the_linear_search():
+    for conductor in (3, 4, 5, 8, 12, 24, 28, 105):
+        ctx = FieldContext(conductor)
+        w = conductor if conductor % 2 == 0 else 2 * conductor
+        g = ctx.root_of_unity(w)
+        roots = [g ** k for k in range(w)]
+        assert len(set(roots)) == w
+        for e in roots + [-r for r in roots] + [ctx.from_int(2), ctx.zero()]:
+            assert multiplicative_order(e) == _linear_search_order(e)
+    # K[l] holds roots of unity of order 2w and 3w when it is a field: the
+    # eighth root (1 + i) sqrt(2) / 2 over Q(i), and i (sqrt(-3) - 1) / 2
+    z4 = FieldContext(4)
+    i = z4.zeta()
+    for c, u, v, order in (
+        (2, z4.zero(), (1 + i) * Fraction(1, 2), 8),
+        (-3, -i * Fraction(1, 2), i * Fraction(1, 2), 12),
+    ):
+        ext = z4.extend_sqrt(z4.from_int(c))
+        e = ext.from_parts(u, v)
+        assert multiplicative_order(e) == _linear_search_order(e) == order
+    # a square tag: Q(zeta_3)[l] with l^2 = 4 is Q(zeta_3) x Q(zeta_3)
+    z3 = FieldContext(3)
+    ext = z3.extend_sqrt(z3.from_int(4))
+    z, l = ext.zeta(), ext.sqrt_generator()
+    half = Fraction(1, 2)
+    e1, e2 = (1 + l * half) * half, (1 - l * half) * half  # (1, 0) and (0, 1)
+    samples = [l * half, z * l * half, z * e1 + z * z * e2, (1 + l) * half, l, e1]
+    for e in samples:
+        assert multiplicative_order(e) == _linear_search_order(e)
+    assert [multiplicative_order(e) for e in samples] == [2, 6, 3, None, None, None]
+
+
+def _two_branch_root_of_unity(ctx, n):
+    """The former root_of_unity: zeta^(N/n), else a power of zeta_2N for odd N."""
+    N = ctx.conductor
+    if N % n == 0:
+        return ctx.zeta() ** (N // n)
+    if N % 2 == 1 and (2 * N) % n == 0:
+        return (-(ctx.zeta() ** ((N + 1) // 2))) ** (2 * N // n)
+    return None
+
+
+def test_root_of_unity_matches_the_two_branch_formula_up_to_the_ceiling():
+    pairs = 0
+    for conductor in range(1, _MAX_CONDUCTOR + 1):
+        ctx = FieldContext(conductor)
+        w = conductor if conductor % 2 == 0 else 2 * conductor
+        for n in range(1, w + 1):
+            if w % n == 0:
+                assert ctx.root_of_unity(n) == _two_branch_root_of_unity(ctx, n)
+                pairs += 1
+        for n in (2 * w, w + 1):
+            assert _two_branch_root_of_unity(ctx, n) is None
+            with pytest.raises(RootOfUnityUnavailable):
+                ctx.root_of_unity(n)
+    assert pairs == 1529

@@ -512,3 +512,14 @@ def test_homology_from_matrix_recognizes_a_scaled_homology():
         assert (h.center, h.axis, h.order) == (center, axis, n)
         assert h.zeta == ctx.root_of_unity(n)
         checked += 1
+
+
+def test_homology_from_matrix_recognizes_a_ratio_of_order_2n_at_odd_conductor():
+    # Q(zeta_129) holds a primitive 258th root of unity, past the former cap 256
+    ctx = FieldContext(129)
+    center = ProjPoint.from_ints(ctx, (1, 0, 0))
+    axis = ProjLine.from_ints(ctx, (1, 0, 0))
+    h = homology_from_matrix(homology_matrix(center, axis, ctx.root_of_unity(258)))
+    assert h.order == 258
+    assert h.center == center
+    assert h.axis == axis
