@@ -5,8 +5,12 @@ Elements are dense rational coordinate vectors over the power basis
 vector is stored as integer numerators plus one positive common denominator,
 which keeps the hot paths (convolution + monic reduction) in machine/big-int
 arithmetic with a single gcd-normalization per operation.  Inversion uses the
-same kernel: the inverse is the product of the nontrivial Galois conjugates
-sigma_k(e) (zeta -> zeta^k) divided by the rational norm.
+same kernel, down a tower of subfields: along a chain of subgroups of the
+Galois group (Z/N)^* with prime relative orders, each step multiplies the
+current element by its nontrivial conjugates sigma_k (zeta -> zeta^k) under
+the step's generator, which gives its norm to the next subfield.  By the
+transitivity of the norm the last step gives the rational norm N(e), and the
+inverse is the product of the steps' conjugate products divided by it.
 
 Sums of products (matrix entries, point images, minors, form values) go
 through one kernel, FieldContext.dot: it adds the convolutions of all the
@@ -579,11 +583,54 @@ def _conjugate(e, k):
     return _make(ctx, tuple(_reduce_mod(vec, ctx.modulus)), e.den)
 
 
-def _inv_base(e):
-    """Inverse in the plain cyclotomic field: conjugate product over the norm.
+_tower_cache = {}
 
-    With rest = prod of sigma_k(e) over the Galois group minus the identity,
-    e * rest is the norm of e, a nonzero rational, so e^-1 = rest / norm.
+
+def _galois_tower(N):
+    """Steps (tau_i, o_i) of a chain of subgroups 1 = H_0 < H_1 < ... of (Z/N)^*.
+
+    H_i is generated by H_(i-1) and tau_i, and the relative order o_i is a
+    prime, the order of tau_i modulo H_(i-1); the chain ends at the whole
+    group, so the o_i multiply to phi(N).  Each step takes the largest prime
+    p left in the order of (Z/N)^* / H_(i-1), and tau_i = k^(m/p) for the
+    smallest unit k whose order m modulo H_(i-1) is divisible by p.
+    Computed once per conductor.
+    """
+    steps = _tower_cache.get(N)
+    if steps is not None:
+        return steps
+    units = [k for k in range(1, N) if gcd(k, N) == 1]
+    H = {1}
+    steps = []
+    while len(H) < len(units):
+        o = _prime_factors(len(units) // len(H))[-1]
+        for k in units:
+            m, power = 1, k
+            while power not in H:
+                m, power = m + 1, power * k % N
+            if m % o == 0:
+                break
+        tau = pow(k, m // o, N)
+        H = {h * pow(tau, j, N) % N for h in H for j in range(o)}
+        steps.append((tau, o))
+    _tower_cache[N] = steps = tuple(steps)
+    return steps
+
+
+def _inv_base(e):
+    """Inverse in the plain cyclotomic field, by norms down a subfield tower.
+
+    Along the chain H_0 < H_1 < ... < H_r = Gal(K/Q) of _galois_tower, with
+    fixed fields K = K_0 > K_1 > ... > K_r = Q, the norm is transitive:
+    N_(K/Q) = N_(K_(r-1)/Q) o ... o N_(K/K_1) (S. Lang, Algebra, GTM 211,
+    ch. VI, section 5).  The group is abelian, so K_i/K_(i+1) is Galois with
+    the cyclic group generated by tau_(i+1) of prime order o_(i+1), and
+    the norm from K_i is the product of the o_(i+1) conjugates under its
+    powers.  So with x_0 = e, y_i the product of the o_i - 1 nontrivial
+    conjugates of x_(i-1) and x_i = x_(i-1) * y_i, the last x is N(e), a
+    nonzero rational, and e^-1 = (prod y_i) / N(e).  That takes
+    sum(o_i) - 1 products instead of the phi(N) - 1 of multiplying e by all
+    its nontrivial conjugates (18 instead of 197 at N = 199).
     """
     if e.is_zero():
         raise ZeroDivisionError("inverse of zero")
@@ -593,15 +640,17 @@ def _inv_base(e):
     if e.is_rational():
         return ctx.from_rational(1 / e.as_rational())
     N = ctx.conductor
-    rest = ctx.one()
-    for k in range(2, N):
-        if gcd(k, N) == 1:
-            rest = rest * _conjugate(e, k)
-    norm = e * rest
-    if not norm.is_rational():
+    x, rest = e, None
+    for tau, o in _galois_tower(N):
+        y = _conjugate(x, tau)
+        for j in range(2, o):
+            y = y * _conjugate(x, pow(tau, j, N))
+        rest = y if rest is None else rest * y
+        x = x * y
+    if not x.is_rational():
         raise InvariantViolation("the norm of a field element is rational")
     # rest / (p/q) = (rest.nums * q) / (rest.den * p)
-    p, q = norm.nums[0], norm.den
+    p, q = x.nums[0], x.den
     return _make(ctx, tuple(c * q for c in rest.nums), rest.den * p)
 
 

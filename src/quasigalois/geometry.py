@@ -28,18 +28,24 @@ from .errors import (
 
 
 def _canonicalize(coords):
-    """Scale a nonzero coordinate tuple so its first nonzero entry is 1."""
-    pivot = None
-    for c in coords:
-        if not c.is_zero():
-            pivot = c
+    """Scale a nonzero coordinate tuple so its first nonzero entry is 1.
+
+    Only the entries after the pivot that are not zero pay a product: the
+    zeros before and after it stay as they are, and the pivot becomes one.
+    """
+    for p, pivot in enumerate(coords):
+        if not pivot.is_zero():
             break
-    if pivot is None:
+    else:
         raise ValueError("all coordinates are zero")
     if pivot.is_one():
         return tuple(coords)
     inv = pivot.inverse()
-    return tuple(c * inv for c in coords)
+    return (
+        *coords[:p],
+        pivot.context.one(),
+        *(c if c.is_zero() else c * inv for c in coords[p + 1 :]),
+    )
 
 
 def _cross(a, b):
@@ -144,23 +150,27 @@ class ProjLine(_Triple):
         return self.evaluate(point).is_zero()
 
     def spanning_points(self):
-        """Two canonical points spanning the line.
+        """Two canonical points spanning the line: those of spanning_vectors."""
+        return tuple(ProjPoint(self.context, v) for v in self.spanning_vectors())
+
+    def spanning_vectors(self):
+        """Two coordinate vectors spanning the line, not canonically scaled.
 
         With j the first index where the line has a nonzero coefficient, so
-        coeff_j = 1 by the canonical scaling, the points are e_k - coeff_k e_j
+        coeff_j = 1 by the canonical scaling, the vectors are e_k - coeff_k e_j
         for the two indices k != j, in increasing order of k.
         """
         ctx = self.context
         j = next(i for i, c in enumerate(self.coords) if not c.is_zero())
-        pts = []
+        vecs = []
         for k in range(3):
             if k == j:
                 continue
             coords = [ctx.zero(), ctx.zero(), ctx.zero()]
             coords[k] = ctx.one()
             coords[j] = -self.coords[k]
-            pts.append(ProjPoint(ctx, coords))
-        return pts[0], pts[1]
+            vecs.append(coords)
+        return vecs
 
     def meet(self, other):
         """Intersection point of two distinct lines (cross product)."""
@@ -460,7 +470,28 @@ class HomoPoly:
         return HomoPoly(ctx, self.degree - 1, out)
 
     def gradient_at(self, point):
-        return tuple(self.partial(v).evaluate(point) for v in range(3))
+        """The three partial derivatives at a point, in one pass over F's terms.
+
+        The term c X^i Y^j Z^k adds i c X^(i-1) Y^j Z^k to dF/dX, and likewise
+        for Y and Z; each monomial of degree d - 1 is formed once from three
+        power lists, and each partial is one sum of products.
+        """
+        ctx = self.context
+        x, y, z = point.coords if isinstance(point, ProjPoint) else point
+        one = ctx.one()
+        px, py, pz = (_powers(v, self.degree - 1, one) for v in (x, y, z))
+        monomials = {}
+        coeffs, values = ([], [], []), ([], [], [])
+        for e, c in self.terms.items():
+            for v in range(3):
+                if e[v]:
+                    i, j, k = m = (*e[:v], e[v] - 1, *e[v + 1 :])
+                    value = monomials.get(m)
+                    if value is None:
+                        value = monomials[m] = px[i] * py[j] * pz[k]
+                    coeffs[v].append(c * ctx.from_int(e[v]))
+                    values[v].append(value)
+        return tuple(ctx.dot(coeffs[v], values[v]) for v in range(3))
 
     def pullback(self, matrix):
         """The form x -> F(M x), substituting the rows of M by nested Horner steps.

@@ -100,7 +100,12 @@ def _axis_and_order(form, point):
     the tangent line, scaled by t_k so that no division is needed.  It never
     passes through the point, so B is invertible: H P = (d - 1) t and
     t . P = 0 give a . P = 2 (d - 1) t_k^2 != 0.  At an inner point
-    t = grad F(P) is also the tangent line.
+    t = grad F(P) is also the tangent line.  B's other two columns are the
+    raw vectors e_i - a_i e_j of the canonical axis (a_j = 1), not scaled to
+    canonical points: scaling a column of B scales Y or Z in every A_i, so it
+    never changes which A_i vanish, and g is the same without the two
+    inversions.  The canonical axis keeps the entries equal to one that the
+    pullback skips.
     """
     ctx = form.context
     t = form.gradient_at(point)
@@ -117,7 +122,8 @@ def _axis_and_order(form, point):
         axis = ProjLine(ctx, [two_tk * h[j] - h[k] * t[j] for j in range(3)])
     else:
         axis = ProjLine(ctx, t)
-    G = form.pullback(ProjMatrix.from_columns(point, *axis.spanning_points()))
+    B = ProjMatrix(ctx, list(zip(point.coords, *axis.spanning_vectors())))
+    G = form.pullback(B)
     degrees = {i for i, _, _ in G.terms}
     m = max(degrees)
     return on_curve, axis, gcd(*(m - i for i in degrees)), t
@@ -230,7 +236,8 @@ def homology_from_matrix(matrix):
     The characteristic polynomial t^3 - s1 t^2 + s2 t - s3 must have a double
     eigenvalue nu and a simple one mu with rank(M - nu I) = 1; then the axis
     is the row space of M - nu I, the center its column space, and the ratio
-    mu / nu, whose order multiplicative_order reads off mu(K).  The
+    mu / nu, whose order multiplicative_order reads off mu(K).  A homology is
+    invertible, so s3 = det M = 0 is rejected first; then nu != 0.  The
     eigenvalues come in closed form: roots nu, nu, mu give s1^2 - 3 s2 =
     (nu - mu)^2 and s1 s2 - 9 s3 = 2 nu (nu - mu)^2.  So s1^2 = 3 s2 rules
     out a homology (a triple root, or distinct roots such as those of a
@@ -244,6 +251,8 @@ def homology_from_matrix(matrix):
     s1 = r[0][0] + r[1][1] + r[2][2]
     s2 = adj[0][0] + adj[1][1] + adj[2][2]
     s3 = matrix.det()
+    if s3.is_zero():
+        raise NotAHomology("a homology is invertible")
     gap = s1 * s1 - 3 * s2
     if gap.is_zero():
         raise NotAHomology(

@@ -8,13 +8,15 @@ import pytest
 
 from quasigalois import (
     FieldContext,
+    InvariantViolation,
     RootOfUnityUnavailable,
     ZeroDivisorEncountered,
     cyclotomic_polynomial,
     euler_phi,
     multiplicative_order,
 )
-from quasigalois.cyclotomic import _conjugate, _conv, _reduce_mod
+from quasigalois import cyclotomic
+from quasigalois.cyclotomic import _conjugate, _conv, _galois_tower, _reduce_mod
 from quasigalois.serialize import _MAX_CONDUCTOR
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
@@ -398,3 +400,76 @@ def test_root_of_unity_matches_the_two_branch_formula_up_to_the_ceiling():
             with pytest.raises(RootOfUnityUnavailable):
                 ctx.root_of_unity(n)
     assert pairs == 1529
+
+
+def _conjugate_product_inverse(e):
+    """The former plain-field inverse: all nontrivial conjugates over the norm."""
+    ctx = e.context
+    if e.is_rational():
+        return ctx.from_rational(1 / e.as_rational())
+    N = ctx.conductor
+    rest = ctx.one()
+    for k in range(2, N):
+        if math.gcd(k, N) == 1:
+            rest = rest * _conjugate(e, k)
+    norm = e * rest
+    assert norm.is_rational()
+    return rest * ctx.from_rational(1 / norm.as_rational())
+
+
+def _assert_same_inverse(e, expected):
+    inverse = e.inverse()
+    assert inverse.key() == expected.key()
+    assert inverse.context is e.context
+    assert (e * inverse).is_one()
+
+
+def test_tower_inverse_matches_the_conjugate_product_inverse():
+    rng = random.Random(20261021)
+    for conductor in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24, 28, 105, 210):
+        ctx = FieldContext(conductor)
+        z = ctx.zeta()
+        samples = [random_element(ctx, rng) for _ in range(6 if conductor < 100 else 2)]
+        samples += [z, z + 1, -z * z + ctx.from_rational(Fraction(1, 7)), ctx.from_int(-5)]
+        for e in samples:
+            if not e.is_zero():
+                _assert_same_inverse(e, _conjugate_product_inverse(e))
+    # the slowest field below the conductor ceiling: 197 conjugates, 4 steps
+    ctx = FieldContext(199)
+    e = ctx.from_coords([rng.randint(-2, 2) for _ in range(ctx.dim)])
+    _assert_same_inverse(e, _conjugate_product_inverse(e))
+
+
+def test_tower_inverse_in_a_quadratic_extension():
+    # u + v l over Q(zeta_24)[l], l^2 = 1 + z (no square): its norm is inverted
+    # in the base field
+    rng = random.Random(20261022)
+    base = FieldContext(24)
+    ext = base.extend_sqrt(base.one() + base.zeta())
+    for _ in range(6):
+        x = random_element(ext, rng)
+        u, v = x.parts()
+        inv_norm = _conjugate_product_inverse(u * u - ext.lambda_sq * (v * v))
+        _assert_same_inverse(x, ext.from_parts(u * inv_norm, -(v * inv_norm)))
+
+
+def test_galois_tower_is_a_prime_chain_through_the_unit_group():
+    for conductor in range(1, _MAX_CONDUCTOR + 1):
+        units = {k for k in range(1, conductor) if math.gcd(k, conductor) == 1} or {1}
+        subgroup = {1}
+        for tau, o in _galois_tower(conductor):
+            assert o > 1 and all(o % q for q in range(2, o)), conductor
+            assert tau in units and tau not in subgroup, conductor
+            assert pow(tau, o, conductor) in subgroup, conductor
+            subgroup = {h * pow(tau, j, conductor) % conductor for h in subgroup for j in range(o)}
+        assert subgroup == units, conductor
+        assert math.prod(o for _, o in _galois_tower(conductor)) == euler_phi(conductor)
+        assert _galois_tower(conductor) is _galois_tower(conductor)
+
+
+def test_tower_inverse_checks_that_the_norm_is_rational(monkeypatch):
+    # a chain that stops short of the whole group ends in a proper subfield
+    ctx = FieldContext(24)
+    monkeypatch.setitem(cyclotomic._tower_cache, 24, _galois_tower(24)[:2])
+    with pytest.raises(InvariantViolation):
+        (ctx.zeta() + 2).inverse()

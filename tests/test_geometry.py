@@ -20,6 +20,7 @@ from quasigalois import (
     tangent_line,
 )
 from quasigalois import catalog
+from quasigalois.geometry import _canonicalize
 
 
 def random_point(ctx, rng):
@@ -585,3 +586,65 @@ def test_proportional_to_matches_the_ratio_test():
             if len(f.terms) > 1:
                 assert not f.proportional_to(HomoPoly(ctx, degree, bumped))
         assert zero4.proportional_to(zero4) and not zero4.proportional_to(zero6)
+
+
+def _scale_every_entry(coords):
+    """The former _canonicalize: every entry, pivot and zeros included, times
+    the pivot's inverse."""
+    pivot = next(c for c in coords if not c.is_zero())
+    if pivot.is_one():
+        return tuple(coords)
+    inv = pivot.inverse()
+    return tuple(c * inv for c in coords)
+
+
+def test_canonicalize_matches_scaling_every_entry():
+    rng = random.Random(20261023)
+    base = FieldContext(24)
+    contexts = [FieldContext(n) for n in (3, 4, 24, 28)]
+    contexts.append(base.extend_sqrt(base.zeta() + 3))
+
+    def entry(ctx):
+        if rng.random() < 0.4:
+            return ctx.zero()
+        return ctx.from_coords(
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ctx.dim)]
+        )
+
+    for ctx in contexts:
+        for length in (3, 9):
+            for _ in range(12):
+                coords = [entry(ctx) for _ in range(length)]
+                if all(c.is_zero() for c in coords):
+                    coords[-1] = ctx.zeta()
+                expected = _scale_every_entry(coords)
+                got = _canonicalize(coords)
+                assert [c.key() for c in got] == [c.key() for c in expected]
+                assert got == expected
+                assert all(c.context is ctx for c in got)
+        with pytest.raises(ValueError):
+            _canonicalize([ctx.zero()] * 3)
+
+
+def test_gradient_at_matches_the_partials_on_dense_forms():
+    rng = random.Random(20261024)
+    for conductor in (3, 4, 24):
+        ctx = FieldContext(conductor)
+        z = ctx.zeta()
+        for degree in range(4, 9):
+            f = HomoPoly(
+                ctx,
+                degree,
+                {
+                    (i, j, degree - i - j): ctx.from_coords(
+                        [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(ctx.dim)]
+                    )
+                    for i in range(degree + 1)
+                    for j in range(degree + 1 - i)
+                },
+            )
+            for coords in ([ctx.one(), z + 2, -z * z], [ctx.zero(), ctx.one(), z - 1]):
+                p = ProjPoint(ctx, coords)
+                expected = tuple(f.partial(v).evaluate(p) for v in range(3))
+                assert f.gradient_at(p) == expected
+                assert f.gradient_at(p.coords) == expected

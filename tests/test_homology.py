@@ -1,5 +1,6 @@
 """Homologies: construction, recognition, and point classification."""
 
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from quasigalois import (
     tangent_line,
 )
 from quasigalois import catalog
+from quasigalois.homology import _axis_and_order
 
 
 def random_point(ctx, rng):
@@ -523,3 +525,72 @@ def test_homology_from_matrix_recognizes_a_ratio_of_order_2n_at_odd_conductor():
     assert h.order == 258
     assert h.center == center
     assert h.axis == axis
+
+
+def _axis_and_order_by_canonical_points(form, point):
+    """The former _axis_and_order: the gradient from three partial forms, and
+    B's last two columns the canonical spanning points of the axis."""
+    ctx = form.context
+    t = tuple(form.partial(v).evaluate(point) for v in range(3))
+    on_curve = ctx.dot(t, point.coords).is_zero()
+    k = next(i for i, c in enumerate(t) if not c.is_zero())
+    if on_curve:
+        h = form.partial(k).gradient_at(point)
+        two_tk = ctx.from_int(2) * t[k]
+        axis = ProjLine(ctx, [two_tk * h[j] - h[k] * t[j] for j in range(3)])
+    else:
+        axis = ProjLine(ctx, t)
+    G = form.pullback(ProjMatrix.from_columns(point, *axis.spanning_points()))
+    degrees = {i for i, _, _ in G.terms}
+    m = max(degrees)
+    return on_curve, axis, math.gcd(*(m - i for i in degrees)), t
+
+
+def _assert_classified_as_by_canonical_points(form, point):
+    on_curve, axis, g, t = _axis_and_order_by_canonical_points(form, point)
+    assert _axis_and_order(form, point) == (on_curve, axis, g, t), point
+    rec = classify_point(form, point)
+    assert (rec.on_curve, rec.order) == (on_curve, g), point
+    if g == 1:
+        assert rec.generator is None and rec.tangency is None, point
+        return False
+    ctx = form.context
+    matrix = homology_matrix(point, axis, ctx.root_of_unity(g))
+    assert rec.generator.axis == axis, point
+    assert rec.generator.matrix.canonical_key() == matrix.canonical_key(), point
+    tangency = None
+    if on_curve:
+        tangency = intersection_multiplicity(form, ProjLine(ctx, t), point)
+    assert rec.tangency == tangency, point
+    return True
+
+
+def test_classification_by_raw_spanning_vectors_matches_canonical_points(evaluations):
+    qg = 0
+    for ev in evaluations.values():
+        if ev.report is not None:
+            form = ev.instance.curve.form
+            for p in ev.report.records:
+                qg += _assert_classified_as_by_canonical_points(form, p)
+    assert qg > 100
+    # conductor 199: a generic point (three dense inversions before), and
+    # the order-2 center of X -> -X moved by a shear with entries zeta
+    ctx = FieldContext(199)
+    z, one, zero = ctx.zeta(), ctx.one(), ctx.zero()
+    form = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (1, 3, 0): 1})
+    assert not _assert_classified_as_by_canonical_points(form, ProjPoint(ctx, [one, z, z + 2]))
+    even = HomoPoly.from_int_terms(
+        ctx, 4, {(4, 0, 0): 1, (2, 1, 1): 1, (0, 4, 0): 1, (0, 1, 3): 1, (0, 0, 4): 1}
+    )
+    shear = ProjMatrix(ctx, [[one, zero, zero], [z, one, zero], [zero, z, one]])
+    center = shear.inverse().apply_to_point(ProjPoint.from_ints(ctx, (1, 0, 0)))
+    assert _assert_classified_as_by_canonical_points(even.pullback(shear), center)
+
+
+def test_homology_from_matrix_rejects_singular_matrices():
+    # diag(1, 0, 0) has the double eigenvalue nu = 0, which used to reach mu / nu
+    ctx = FieldContext(12)
+    for diagonal in ((1, 0, 0), (0, 1, 1)):
+        rows = [[diagonal[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        with pytest.raises(NotAHomology, match="invertible"):
+            homology_from_matrix(ProjMatrix.from_ints(ctx, rows))
