@@ -4,8 +4,8 @@ Points and lines share one body, a canonical triple `coords` scaled so its
 first nonzero entry is 1 (a line's `coeffs` is the same triple), so equality
 and hashing are projective; forms are compared up to a scalar, and matrices
 keyed, by the same scaling.  Ternary forms are sparse exponent
-dictionaries; restriction to a line produces a binary form in a
-parametrization by two canonical spanning points, from which intersection
+dictionaries; restriction to a line produces a binary form in the
+parametrization by the line's two spanning vectors, from which intersection
 multiplicities and full intersection profiles are computed exactly.
 
 Every entry of a matrix product, point or line image, 2x2 minor (cross
@@ -144,14 +144,12 @@ class ProjLine(_Triple):
         return cls(p.context, _cross(p.coords, q.coords))
 
     def evaluate(self, point):
-        return self.context.dot(self.coords, point.coords)
+        """Value of the linear form at a point or a coordinate vector."""
+        x = point.coords if isinstance(point, ProjPoint) else point
+        return self.context.dot(self.coords, x)
 
     def contains(self, point):
         return self.evaluate(point).is_zero()
-
-    def spanning_points(self):
-        """Two canonical points spanning the line: those of spanning_vectors."""
-        return tuple(ProjPoint(self.context, v) for v in self.spanning_vectors())
 
     def spanning_vectors(self):
         """Two coordinate vectors spanning the line, not canonically scaled.
@@ -509,24 +507,26 @@ class HomoPoly:
         )
 
     def restrict_to_line(self, line):
-        """Binary form coefficients of F(s*S1 + t*S2) on the line's spanning points.
+        """Binary form coefficients of F(s*V1 + t*V2) on the line's spanning vectors.
 
         Returns the dense list [c_0, ..., c_d] with the restriction equal to
-        sum c_m s^(d-m) t^m; parameter (1:0) is S1 and (0:1) is S2.
+        sum c_m s^(d-m) t^m; parameter (1:0) is V1 and (0:1) is V2, the two
+        vectors of ProjLine.spanning_vectors.
         """
-        s1, s2 = line.spanning_points()
-        return self.restrict_to_pencil(s1, s2)
+        return self.restrict_to_pencil(*line.spanning_vectors())
 
     def restrict_to_pencil(self, p, q):
         """Binary form of F(s*P + t*Q) as a dense coefficient list in t-degree.
 
-        Entry m is the coefficient of s^(d-m) t^m, read off the pullback by
-        the matrix with columns P, Q and 0 as its X^(d-m) Y^m coefficient.
+        P and Q are points or coordinate vectors.  Entry m is the coefficient
+        of s^(d-m) t^m, read off the pullback by the matrix with columns P, Q
+        and 0 as its X^(d-m) Y^m coefficient.
         """
         ctx = self.context
         d = self.degree
         zero = ctx.zero()
-        rows = [(p.coords[v], q.coords[v], zero) for v in range(3)]
+        p, q = (v.coords if isinstance(v, ProjPoint) else v for v in (p, q))
+        rows = [(p[v], q[v], zero) for v in range(3)]
         out = _substitute(self.terms, d, ctx.one(), rows)
         return [out.get((d - m, m, 0), zero) for m in range(d + 1)]
 
@@ -570,8 +570,9 @@ def intersection_multiplicity(form, line, point):
     """Multiplicity of the curve/line intersection at a point of the line."""
     if not line.contains(point):
         raise PointNotOnLine("the point does not lie on the line")
-    s1, s2 = line.spanning_points()
-    other = s2 if point == s1 else s1
+    v1, v2 = line.spanning_vectors()
+    # pencil the point with a spanning vector not proportional to it
+    other = v2 if all(c.is_zero() for c in _cross(point.coords, v1)) else v1
     coeffs = form.restrict_to_pencil(point, other)
     # parameter t = 0 is the point itself; multiplicity = t-adic valuation
     for m, c in enumerate(coeffs):
@@ -584,13 +585,14 @@ def line_profile(form, line):
     """Multiset of intersection multiplicities of the line with the curve.
 
     Counts points over the algebraic closure.  On the chart s = 1 the
-    restriction is a polynomial f(t), and the deficiency d - deg f is the
-    multiplicity at (0:1) = S2.  The rest is read off a gcd chain: g_0 = f
-    and g_k = gcd(g_(k-1), f^(k)).  In characteristic 0 a root of f of
-    multiplicity m is a root of f, f', ..., f^(k) exactly when k < m, so
-    deg g_k = sum over the roots of max(m - k, 0), and deg g_(k-1) - deg g_k
-    counts the roots of multiplicity at least k.  Returns a descending tuple
-    whose sum is deg(form).
+    restriction F(V1 + t*V2) to the line's spanning vectors is a polynomial
+    f(t), and the deficiency d - deg f is the multiplicity at (0:1) = V2.
+    The rest is read off a gcd chain: g_0 = f and g_k = gcd(g_(k-1), f^(k)).
+    In characteristic 0 a root of f of multiplicity m is a root of f, f',
+    ..., f^(k) exactly when k < m, so deg g_k = sum over the roots of
+    max(m - k, 0), and deg g_(k-1) - deg g_k counts the roots of
+    multiplicity at least k.  Returns a descending tuple whose sum is
+    deg(form).
     """
     coeffs = form.restrict_to_line(line)
     if all(c.is_zero() for c in coeffs):

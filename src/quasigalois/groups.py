@@ -4,8 +4,8 @@ A closure is Dimino's coset enumeration (G. Butler, Fundamental Algorithms
 for Permutation Groups, LNCS 559, 1991) on exact canonical keys, so
 matrices are told apart up to scalar.  An element's projective order is the
 least power that is a scalar matrix.  When every generator preserves a
-line, the restriction to that line in the coordinates of its two canonical
-spanning points is a 2x2 matrix, well defined up to scalar; the induced map
+line, the restriction to that line in the coordinates of its two spanning
+vectors is a 2x2 matrix, well defined up to scalar; the induced map
 is a group homomorphism, and its kernel size, image size and the image's
 element-order histogram identify the quotient (for example the histograms
 {1:1, 2:3, 3:8} and {1:1, 2:9, 3:8, 4:6} of the alternating and symmetric
@@ -121,31 +121,22 @@ def order_histogram(group):
     return dict(Counter(projective_order(m, cap=len(group)) for m in group))
 
 
-def _raw_apply(matrix, coords):
-    dot = matrix.context.dot
-    return [dot(row, coords) for row in matrix.rows]
-
-
-def _line_coordinates(line, s1, s2, vec):
-    """Coordinates of a raw vector in the basis s1, s2 of the line's points."""
-    j = next(i for i, c in enumerate(line.coeffs) if not c.is_zero())
-    k1, k2 = [i for i in range(3) if i != j]
-    s, t = vec[k1], vec[k2]
-    if vec[j] != line.context.dot((s, t), (s1.coords[j], s2.coords[j])):
-        raise LineNotPreserved("the image vector does not lie on the line")
-    return s, t
-
-
 def restrict_to_line(matrix, line):
-    """2x2 matrix of the action on the line's spanning-point coordinates.
+    """2x2 matrix of the action in the coordinates of the line's spanning vectors.
 
-    Raises LineNotPreserved when the matrix does not map the line to itself.
-    The result is well defined up to the scalar class of `matrix`.
+    V1 and V2 are e_k - coeff_k e_j for the two indices k != j of the line's
+    pivot j, so a vector on the line has its entries at those indices as its
+    coordinates.  Raises LineNotPreserved when the matrix does not map the
+    line to itself.  The result is well defined up to the scalar class of
+    `matrix`.
     """
-    s1, s2 = line.spanning_points()
-    a, b = _line_coordinates(line, s1, s2, _raw_apply(matrix, s1.coords))
-    c, d = _line_coordinates(line, s1, s2, _raw_apply(matrix, s2.coords))
-    # M(s*S1 + t*S2) = (a*s + c*t) S1 + (b*s + d*t) S2
+    dot = matrix.context.dot
+    images = [[dot(r, v) for r in matrix.rows] for v in line.spanning_vectors()]
+    if not all(line.contains(w) for w in images):
+        raise LineNotPreserved("the image vector does not lie on the line")
+    j = next(i for i, c in enumerate(line.coeffs) if not c.is_zero())
+    # M(s*V1 + t*V2) = (a*s + c*t) V1 + (b*s + d*t) V2
+    (a, b), (c, d) = ([w[k] for k in range(3) if k != j] for w in images)
     return ((a, c), (b, d))
 
 

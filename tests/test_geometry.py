@@ -81,7 +81,7 @@ def test_line_through_two_points_contains_both():
             continue
         line = ProjLine.through(p, q)
         assert line.contains(p) and line.contains(q)
-        a, b = line.spanning_points()
+        a, b = (ProjPoint(ctx, v) for v in line.spanning_vectors())
         assert line.contains(a) and line.contains(b)
 
 
@@ -256,6 +256,23 @@ def test_tangency_detection_on_smooth_points():
         hits += 1
         assert intersection_multiplicity(form, line, p) == 1
     assert hits > 0
+
+
+def test_intersection_multiplicity_at_either_spanning_vector():
+    # (1 : zeta : 0) and (1 : 0 : zeta), zeta^4 = -1, are hyperflexes of the
+    # Fermat quartic: the first spans (1, -1/zeta, a) as its first spanning
+    # vector, the second (1, a, -1/zeta) as its second, so the pencil takes
+    # the other vector in each case.  Each line is the tangent when a = 0.
+    form = catalog.make("fermat_quartic").curve.form
+    ctx = form.context
+    w = -ctx.zeta().inverse()
+    for a in map(ctx.from_int, range(-2, 3)):
+        for slot, coeffs in ((0, [ctx.one(), w, a]), (1, [ctx.one(), a, w])):
+            line = ProjLine(ctx, coeffs)
+            point = ProjPoint(ctx, line.spanning_vectors()[slot])
+            assert form.vanishes_at(point)
+            expected = 4 if a.is_zero() else 1
+            assert intersection_multiplicity(form, line, point) == expected
 
 
 def test_intersection_multiplicity_requires_incidence():

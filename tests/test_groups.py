@@ -16,6 +16,7 @@ from quasigalois import (
     line_action_analysis,
     order_histogram,
     projective_order,
+    restrict_to_line,
 )
 from quasigalois import catalog
 
@@ -135,6 +136,45 @@ def test_octahedral_and_tetrahedral_line_actions(evaluations):
     assert small.histogram == {1: 1, 2: 3, 3: 8}
     assert (big.kernel_order, big.image_order) == (6, 24)
     assert big.histogram == {1: 1, 2: 9, 3: 8, 4: 6}
+
+
+def test_line_action_of_s3_on_the_invariant_line_x_plus_y_plus_z():
+    # the permutation matrices preserve X + Y + Z = 0 and act on it faithfully
+    ctx = FieldContext(3)
+    cycle = ProjMatrix.from_ints(ctx, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    swap = ProjMatrix.from_ints(ctx, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    line = ProjLine.from_ints(ctx, (1, 1, 1))
+    report = line_action_analysis(group_closure([cycle, swap]), line)
+    assert (report.group_order, report.kernel_order, report.image_order) == (6, 1, 6)
+    assert report.histogram == {1: 1, 2: 3, 3: 2}
+
+
+def test_identity_restricts_to_a_scalar_on_every_line():
+    ctx = FieldContext(3)
+    identity = ProjMatrix.identity(ctx)
+    for coeffs in ((0, 1, 1), (1, 1, 1), (1, 0, 2)):
+        (a, b), (c, d) = restrict_to_line(identity, ProjLine.from_ints(ctx, coeffs))
+        assert b.is_zero() and c.is_zero() and a == d and not a.is_zero(), coeffs
+
+
+def test_line_actions_survive_a_change_of_coordinates(evaluations):
+    # x -> M^-1 g M preserves the line L*M when g preserves L; Z = 0 moves to
+    # X + Z = 0, whose spanning vectors are not canonically scaled
+    ev = evaluations["sextic_delta8"]
+    ctx = ev.instance.context
+    M = ProjMatrix.from_ints(ctx, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    adj = M.adjugate()
+    moved_line = ProjLine(ctx, M.rows[2])
+    assert moved_line == ProjLine.from_ints(ctx, (1, 0, 1))
+    expected = {
+        "g3": (6, 12, {1: 1, 2: 3, 3: 8}),
+        "aut": (6, 24, {1: 1, 2: 9, 3: 8, 4: 6}),
+    }
+    for key, wanted in expected.items():
+        moved = [adj * g * M for g in ev.groups[key]]
+        report = line_action_analysis(moved, moved_line)
+        actual = (report.kernel_order, report.image_order, report.histogram)
+        assert actual == wanted, key
 
 
 def _catalog_closures(evaluations):

@@ -48,7 +48,7 @@ def test_homology_matrix_fixes_center_and_axis_randomized():
         m = homology_matrix(center, axis, zeta)
         assert m.apply_to_point(center) == center
         assert projective_order(m) == n
-        p, q = axis.spanning_points()
+        p, q = (ProjPoint(ctx, v) for v in axis.spanning_vectors())
         assert m.apply_to_point(p) == p
         assert m.apply_to_point(q) == q
         # any non-fixed point moves along a line through the center
@@ -540,7 +540,8 @@ def _axis_and_order_by_canonical_points(form, point):
         axis = ProjLine(ctx, [two_tk * h[j] - h[k] * t[j] for j in range(3)])
     else:
         axis = ProjLine(ctx, t)
-    G = form.pullback(ProjMatrix.from_columns(point, *axis.spanning_points()))
+    p, q = (ProjPoint(ctx, v) for v in axis.spanning_vectors())
+    G = form.pullback(ProjMatrix.from_columns(point, p, q))
     degrees = {i for i, _, _ in G.terms}
     m = max(degrees)
     return on_curve, axis, math.gcd(*(m - i for i in degrees)), t

@@ -7,6 +7,7 @@ from quasigalois import (
     FieldContext,
     HomoPoly,
     ProjLine,
+    ProjMatrix,
     ProjPoint,
     catalog,
     line_profile,
@@ -203,3 +204,40 @@ def test_line_profile_at_the_fermat_hyperflex():
     ctx = form.context
     flex = ProjPoint(ctx, [ctx.one(), ctx.zeta(), ctx.zero()])
     assert line_profile(form, tangent_line(form, flex)) == (4,)
+
+
+def _sqrt2(ctx):
+    z8 = ctx.root_of_unity(8)
+    return z8 + z8.inverse()
+
+
+def test_line_profile_is_invariant_under_a_change_of_coordinates(instances):
+    # x lies on the line L*M exactly when M x lies on L, so F(M x) meets L*M
+    # as F meets L.  Besides random lines, the tangents at a hyperflex of the
+    # Fermat quartic and at the flex (0 : 1 : sqrt 2) of the delta-sextic.
+    rng = random.Random(2211)
+    flexes = (
+        ("fermat_quartic", lambda ctx: [ctx.one(), ctx.zeta(), ctx.zero()]),
+        ("sextic_delta8", lambda ctx: [ctx.zero(), ctx.one(), _sqrt2(ctx)]),
+    )
+    profiles = set()
+    for name, flex in flexes:
+        form = instances[name].curve.form
+        ctx = form.context
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            M = ProjMatrix.from_ints(ctx, rows)
+            if not M.det().is_zero():
+                break
+        moved = form.pullback(M)
+        lines = [tangent_line(form, ProjPoint(ctx, flex(ctx)))]
+        while len(lines) < 6:
+            coeffs = [ctx.from_int(rng.randint(-4, 4)) for _ in range(3)]
+            if any(not c.is_zero() for c in coeffs):
+                lines.append(ProjLine(ctx, coeffs))
+        for line in lines:
+            moved_line = ProjLine(ctx, [ctx.dot(line.coeffs, col) for col in zip(*M.rows)])
+            profile = line_profile(form, line)
+            assert line_profile(moved, moved_line) == profile, (name, line)
+            profiles.add(profile)
+    assert {(4,), (3, 1, 1, 1), (1, 1, 1, 1), (1,) * 6} <= profiles, profiles
