@@ -22,7 +22,6 @@ from .errors import (
     NotAGPair,
     NotAHomology,
     NotSmooth,
-    OrderNotDividing,
     ParameterViolation,
     PointNotOnCurve,
     PointNotOnLine,
@@ -82,11 +81,9 @@ from .oracle import (
     NumericCurve,
     OracleCensus,
     embed_element,
-    embed_matrix,
     embed_point,
     numeric_census,
     numeric_curve,
-    numeric_spot_check,
 )
 from .serialize import (
     curve_from_json,
@@ -156,10 +153,8 @@ __all__ = [
     "OracleCensus",
     "numeric_census",
     "numeric_curve",
-    "numeric_spot_check",
     "embed_element",
     "embed_point",
-    "embed_matrix",
     "curve_to_json",
     "curve_from_json",
     "form_from_json",
@@ -184,7 +179,6 @@ __all__ = [
     "LineContainedInCurve",
     "PointNotOnLine",
     "PointNotOnCurve",
-    "OrderNotDividing",
     "InvariantViolation",
     "SamePoint",
     "NotAGPair",

@@ -277,14 +277,14 @@ def _certify(degree, delta_prime):
 
 
 def census(curve, seeds, cap=10000):
-    """Full census of a smooth plane curve from seed points.
+    """Full census of a smooth plane curve (a PlaneCurve) from seed points.
 
     Runs the orbit closure, builds the pair graph and triangles, applies the
     structural consistency checks (distinct points share no nontrivial
     homology; for outer mutual pairs the three common fixed points avoid the
     curve), and certifies the tallies.
     """
-    form = curve.form if hasattr(curve, "form") else curve
+    form = curve.form
     records = orbit_expand(form, seeds, cap=cap)
     _assert_groups_disjoint(records)
     pairs = build_pair_graph(records)

@@ -51,10 +51,6 @@ class PointNotOnCurve(QuasiGaloisError):
     """A point argument was required to lie on the curve."""
 
 
-class OrderNotDividing(QuasiGaloisError):
-    """Requested automorphism order does not divide the projection degree."""
-
-
 class SamePoint(QuasiGaloisError):
     """Two distinct points were required."""
 
@@ -87,8 +83,9 @@ class CurveNotPreserved(QuasiGaloisError):
 
 
 class NotAHomology(QuasiGaloisError):
-    """Matrix is not a central collineation (eigenvalues not (a, b, b) with
-    a != b, or not diagonalizable, or not of finite projective order)."""
+    """Matrix is not a central collineation (singular, eigenvalues not
+    (a, b, b) with a != b, or not diagonalizable, or not of finite projective
+    order)."""
 
 
 class ParameterViolation(QuasiGaloisError):

@@ -212,9 +212,6 @@ class ProjMatrix:
         cols = [p1.coords, p2.coords, p3.coords]
         return cls(ctx, [[cols[j][i] for j in range(3)] for i in range(3)])
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def __mul__(self, other):
         if not isinstance(other, ProjMatrix):
             return NotImplemented
@@ -264,9 +261,6 @@ class ProjMatrix:
             flat = [c for row in self.rows for c in row]
             self._ckey = tuple(c.key() for c in _canonicalize(flat))
         return self._ckey
-
-    def proj_eq(self, other):
-        return self.canonical_key() == other.canonical_key()
 
     def __eq__(self, other):
         if not isinstance(other, ProjMatrix):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InvariantViolation, NotAHomology, OrderNotDividing
+from .errors import InvariantViolation, NotAHomology
 from .cyclotomic import multiplicative_order
 from .geometry import (
     ProjLine,
@@ -53,14 +53,6 @@ class Homology:
         self.axis = axis
         self.zeta = zeta
         self.order = order
-
-    def __eq__(self, other):
-        if not isinstance(other, Homology):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return "Homology(order %d, center %r, axis %r)" % (
@@ -129,30 +121,28 @@ def _axis_and_order(form, point):
     return on_curve, axis, gcd(*(m - i for i in degrees)), t
 
 
-def solve_homology(form, point, zeta, order=None):
+def solve_homology(form, point, zeta):
     """The homology with center `point` and ratio `zeta` preserving `form`.
 
-    Returns a Homology, or None when no such map exists.  `zeta` must be
-    different from 1; `order` (its multiplicative order) is computed when not
-    supplied.  The axis is read off the polars of the point (I. Dolgachev,
-    Classical Algebraic Geometry: A Modern View, 2012, section 1.1), and the
-    map exists exactly when zeta^g = 1 for g = gcd{m - i : A_i != 0} of one
-    pullback in coordinates adapted to the point and the axis (see the module
-    docstring); it is then the homology with that axis and ratio `zeta`.
+    Returns a Homology, or None when no such map exists; `zeta` must be
+    different from 1.  The axis is read off the polars of the point
+    (I. Dolgachev, Classical Algebraic Geometry: A Modern View, 2012, section
+    1.1), and the map exists exactly when zeta^g = 1 for g = gcd{m - i :
+    A_i != 0} of one pullback in coordinates adapted to the point and the
+    axis (see the module docstring); it is then the homology with that axis
+    and ratio `zeta`, of order multiplicative_order(zeta).  On a smooth curve
+    g divides the projection degree, so a ratio whose order does not divide
+    it gives None.
     """
     ctx = form.context
     if zeta == ctx.one():
         raise ValueError("the ratio of a homology is different from 1")
-    on_curve, axis, g, _ = _axis_and_order(form, point)
-    deg_pi = form.degree - 1 if on_curve else form.degree
-    if order is not None and deg_pi % order != 0:
-        raise OrderNotDividing(
-            f"order {order} does not divide the projection degree {deg_pi}"
-        )
+    _, axis, g, _ = _axis_and_order(form, point)
     if zeta ** g != ctx.one():
         return None
-    n = order if order is not None else multiplicative_order(zeta)
-    return Homology(homology_matrix(point, axis, zeta), point, axis, zeta, n)
+    return Homology(
+        homology_matrix(point, axis, zeta), point, axis, zeta, multiplicative_order(zeta)
+    )
 
 
 class PointRecord:

@@ -1,4 +1,4 @@
-"""Floating-point cross-checks of the exact machinery.
+"""A floating-point cross-check of the exact census: counting homology centers.
 
 Everything here is heuristic: the exact field elements are pushed through the
 fixed embedding zeta_N -> exp(2*pi*i/N) (and the formal square root to the
@@ -7,7 +7,9 @@ numerically by multi-start least squares over the gauge-fixed homology
 parameters.  A numeric census counting the centers whose homology order is a
 multiple of n is a sanity sweep, never a certificate: nothing guarantees the
 random starts reach every center, which is why the exact census remains the
-source of truth and the oracle only corroborates it.
+source of truth and the oracle only corroborates it.  Whether a matrix M
+preserves a curve is not asked here: ``form.pullback(M).proportional_to(form)``
+decides it exactly.
 
 Each start is solved by MINPACK's lmder, called with the arguments that
 ``scipy.optimize.leastsq`` passes it, but without leastsq's checks of both
@@ -17,7 +19,7 @@ of the samples from one gather of a power table, and keeps the gradient for
 the last point, where lmder next asks for the Jacobian.
 
 A start stops at the first evaluation whose residual norm is below
-s = min(tol, 1e-3 * cluster_tol), and its center is read at that point.  The
+s = min(tol, 1e-3 * _CLUSTER_TOL), and its center is read at that point.  The
 converged set is that of lmder's full run.  lmder accepts a trial step when
 ratio = actred / prered >= 1e-4 (Moré 1978), where actred = 1 - |f_trial|^2 /
 |f|^2 and prered = 1 - |f + J p|^2 / |f|^2 <= 1 for the Levenberg-Marquardt
@@ -27,7 +29,7 @@ trial below s has actred >= 1e-4, and is accepted, whenever the current norm
 is at least 1.00005 s; the full run then ends below s <= tol.  Only a current
 norm in [s, 1.00005 s) lets such a trial be rejected, and the full run may
 then end in that window, above tol when s = tol.  A stopped center lies
-within about 1e-9 of the polished one, far inside ``cluster_tol``, and
+within about 1e-9 of the polished one, far inside ``_CLUSTER_TOL``, and
 polishing converged starts from 1e-9 down to 1e-15 would cost about a fifth
 of all residual evaluations.
 
@@ -81,14 +83,6 @@ def embed_point(point):
     return vec / np.linalg.norm(vec)
 
 
-def embed_matrix(matrix):
-    """The 3x3 complex image of a projective matrix."""
-    return np.array(
-        [[embed_element(matrix.entry(i, j)) for j in range(3)] for i in range(3)],
-        dtype=complex,
-    )
-
-
 def _monomials(pts, exps):
     """The (k, m) monomial table of (k, 3) points at (m, 3) exponent rows."""
     x, y, z = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
@@ -137,31 +131,6 @@ def numeric_curve(curve_or_form):
     """NumericCurve from a PlaneCurve or a homogeneous form."""
     form = curve_or_form.form if hasattr(curve_or_form, "form") else curve_or_form
     return NumericCurve.from_form(form)
-
-
-# ---------------------------------------------------------------------------
-# spot checks
-# ---------------------------------------------------------------------------
-
-
-def numeric_spot_check(curve, matrix):
-    """Max proportionality residual |F(Mx)F(y) - F(My)F(x)| over 64 random pairs.
-
-    The pairs come from seed 0.  Residuals stay below roughly 1e-10 when the
-    matrix maps the curve to itself, and are of order one for a generic
-    non-automorphism.
-    """
-    num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
-    mat = matrix if isinstance(matrix, np.ndarray) else embed_matrix(matrix)
-    rng = np.random.default_rng(0)
-    shape = (64, 3)
-    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    fx, fy = num.evaluate_many(x), num.evaluate_many(y)
-    fmx, fmy = num.evaluate_many(x @ mat.T), num.evaluate_many(y @ mat.T)
-    return float(np.abs(fmx * fy - fmy * fx).max())
 
 
 # ---------------------------------------------------------------------------
@@ -337,30 +306,33 @@ class _Search:
 # lmder: args, full_output, col_deriv, ftol, xtol, gtol, maxfev, factor, diag.
 _LMDER_ARGS = ((), 1, 0, 1e-15, 1e-15, 1e-15, 200, 100, None)
 
+# A converged center joins the first cluster whose representative lies within
+# this Fubini-Study distance of it.
+_CLUSTER_TOL = 1e-6
 
-def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
+
+def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0):
     """Count the distinct homology centers whose order is a multiple of n.
 
     Minimizes the proportionality residual of F(M(P, axis) x) against F(x)
     over random starts, with a fixed primitive n-th root of unity; converged
-    centers are clustered in the Fubini-Study metric.  Returns the cluster
-    count, canonical center representatives, and diagnostics.  Heuristic by
-    construction; agreement with the exact census is evidence, not proof.
+    centers are clustered in the Fubini-Study metric at ``_CLUSTER_TOL``.
+    Returns the cluster count, canonical center representatives, and
+    diagnostics.  Heuristic by construction; agreement with the exact census
+    is evidence, not proof.
     Raises ValueError for n < 2 and for n above the curve's degree.
     """
     if n < 2:
         raise ValueError("the homology order must be at least 2")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
-    if not (cluster_tol > 0 and math.isfinite(cluster_tol)):
-        raise ValueError("cluster tolerance must be positive and finite")
     if starts < 0:
         raise ValueError("the number of starts must be nonnegative")
     num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
     if n > num.degree:
         # a homology order divides d or d - 1 on a smooth curve of degree d
         raise ValueError("the homology order must be at most the degree")
-    search = _Search(num, n, seed, starts, stop=min(tol, 1e-3 * cluster_tol))
+    search = _Search(num, n, seed, starts, stop=min(tol, 1e-3 * _CLUSTER_TOL))
     converged = []
     n_conv = 0
     for idx in range(starts):
@@ -382,7 +354,7 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
         placed = False
         for entry in clusters:
             d = _fubini_study(entry[0], center)
-            if d < cluster_tol:
+            if d < _CLUSTER_TOL:
                 entry[1] = max(entry[1], d)
                 placed = True
                 break
@@ -399,7 +371,7 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0, cluster_tol=1e-6):
         "convergence_rate": n_conv / starts if starts else 0.0,
         "worst_cluster_radius": worst,
         "residual_tol": tol,
-        "cluster_tol": cluster_tol,
+        "cluster_tol": _CLUSTER_TOL,
         "seed": seed,
         "order": n,
     }

@@ -81,9 +81,9 @@ def test_parameter_value_gates():
     with pytest.raises(ParameterViolation):
         catalog.make("quartic_5family", a=3, b=-3)
     # a field element a = 0 is the plain Fermat quartic, as is the integer 0
-    for conductor in (4, 8):
-        with pytest.raises(ParameterViolation):
-            catalog.make("quartic_symmetric", a=FieldContext(conductor).zero())
+    for a in (0, FieldContext(4).zero(), FieldContext(8).zero()):
+        with pytest.raises(ParameterViolation, match="fermat_quartic"):
+            catalog.make("quartic_symmetric", a=a)
 
 
 def test_singular_parameter_values_rejected():

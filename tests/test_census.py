@@ -356,6 +356,27 @@ def test_census_honors_the_point_cap():
         census(inst.curve, seeds, cap=3)
 
 
+def test_census_cap_boundary(monkeypatch):
+    # the five seeds close to 15 points: a cap of 15 admits them, 14 does not,
+    # and a cap below the seed count raises before any point is classified
+    inst = catalog.make("fermat_quartic")
+    ctx = inst.context
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+    assert len(census(inst.curve, seeds, cap=15).records) == 15
+    with pytest.raises(ClosureCapExceeded):
+        census(inst.curve, seeds, cap=14)
+    calls = []
+
+    def counting(form, point):
+        calls.append(point)
+        return classify_point(form, point)
+
+    monkeypatch.setattr(sys.modules["quasigalois.census"], "classify_point", counting)
+    with pytest.raises(ClosureCapExceeded):
+        census(inst.curve, seeds, cap=4)
+    assert calls == []
+
+
 def test_certification_levels():
     hess = catalog.make("hessian_sextic")
     ctx = hess.context
@@ -450,7 +471,7 @@ def test_census_is_invariant_under_a_change_of_coordinates(evaluations):
             for p, rec in report.records.items():
                 if rec.generator is not None:
                     gen = moved_report.records[inv.apply_to_point(p)].generator
-                    assert gen.matrix.proj_eq(inv * rec.generator.matrix * m), (name, p)
+                    assert gen.matrix == inv * rec.generator.matrix * m, (name, p)
             qg = moved_report.quasi_galois_points()
             gens = {
                 "g3": [r.generator.matrix for r in qg if r.order % 3 == 0],

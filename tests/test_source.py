@@ -87,3 +87,36 @@ def test_benchmark_trace_hooks_resolve_in_the_package():
         cls = getattr(submodule(mod), cls_name)
         for attr in attrs:
             assert attr in vars(cls), (cls_name, attr)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in quasigalois.__all__ if not hasattr(quasigalois, name)]
+    assert missing == []
+
+
+def _raised_names(path):
+    """The names of the exceptions raised in a module, called or bare."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_package_error_has_a_raise_site():
+    # an error class nothing raises is an orphan: callers would catch a
+    # condition the package never reports
+    errors = importlib.import_module("quasigalois.errors")
+    declared = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.QuasiGaloisError)
+        and obj is not errors.QuasiGaloisError
+    }
+    raised = set().union(*(_raised_names(path) for path in _sources()))
+    assert sorted(declared - raised) == []
