@@ -18,7 +18,12 @@ numerators over the lcm of the product denominators, then reduces modulo
 Phi_N and normalizes once.  Reduction modulo Phi_N is linear, so the reduced
 sum equals the sum of the reduced products, and (nums, den) in lowest terms
 with den > 0 is a unique normal form; the result is therefore identical, bit
-for bit, to the left-to-right sum of separately normalized products.
+for bit, to the left-to-right sum of separately normalized products.  The
+same uniqueness lets both kernels skip work whose result is known: a pair
+with a zero factor costs dot nothing (leaving its denominator out of the
+common one changes no reduced fraction), and a product with a rational
+factor c/d is the scaling (c * nums, d * den), with no convolution or
+reduction, so every stored element stays what the full path would give.
 
 A context may carry one formal square root l with l^2 = c for a chosen base
 element c.  An element is u + v*l with u, v in K = Q(zeta_N), and products in
@@ -270,6 +275,9 @@ class FieldContext:
 
         Plain contexts reduce and normalize once for the whole sum (see the
         module docstring); extended contexts add up products one at a time.
+        Every pair's contexts are checked first; a pair with a zero factor
+        then adds nothing, not even to the common denominator, and a sum of
+        such pairs is the zero element.
         """
         if self.lambda_sq is not None:
             acc = self._zero
@@ -283,9 +291,15 @@ class FieldContext:
             for e in (x, y):
                 if e.context is not self and e.context.signature != sig:
                     raise ValueError("elements from incompatible contexts")
+            a, b = x.nums, y.nums
+            if not (any(a) and any(b)):
+                continue
             d = x.den * y.den
-            den = den * d // gcd(den, d)
-            pairs.append((x.nums, y.nums, d))
+            if d != 1:
+                den = den * d // gcd(den, d)
+            pairs.append((a, b, d))
+        if not pairs:
+            return self._zero
         m = self.degree
         acc = [0] * (2 * m - 1)
         for a, b, d in pairs:
@@ -475,13 +489,31 @@ class FieldElement:
         return other + (-self)
 
     def __mul__(self, other):
+        """Product; in a plain context a rational factor c/d only scales.
+
+        The convolution of the other operand's numerators with (c, 0, ...)
+        is c times them and needs no reduction, and _make turns
+        (c * nums, d * den) into the same reduced fraction as the full path.
+        So a zero factor gives zero and a factor 1 the other operand.  A K[l]
+        product is five such base-field products.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         ctx = self.context
         if ctx.lambda_sq is None:
-            vec = _reduce_mod(_conv(self.nums, other.nums), ctx.modulus)
-            return _make(ctx, tuple(vec), self.den * other.den)
+            q, x = self, other
+            if any(q.nums[1:]):
+                q, x = other, self
+                if any(q.nums[1:]):
+                    vec = _reduce_mod(_conv(self.nums, other.nums), ctx.modulus)
+                    return _make(ctx, tuple(vec), self.den * other.den)
+            c = q.nums[0]
+            if not c:
+                return ctx._zero
+            if c == 1 and q.den == 1:
+                return x
+            return _make(ctx, tuple(c * u for u in x.nums), q.den * x.den)
         (u1, v1), (u2, v2) = self.parts(), other.parts()
         return ctx.from_parts(
             u1 * u2 + ctx.lambda_sq * (v1 * v2), u1 * v2 + v1 * u2
@@ -543,6 +575,9 @@ class FieldElement:
         )
 
     def __hash__(self):
+        # a rational element equals its Fraction (and int), so hashes like it
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.nums, self.den))
 
     def __bool__(self):

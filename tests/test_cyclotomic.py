@@ -8,6 +8,7 @@ import pytest
 
 from quasigalois import (
     FieldContext,
+    FieldElement,
     InvariantViolation,
     RootOfUnityUnavailable,
     ZeroDivisorEncountered,
@@ -16,7 +17,7 @@ from quasigalois import (
     multiplicative_order,
 )
 from quasigalois import cyclotomic
-from quasigalois.cyclotomic import _conjugate, _conv, _galois_tower, _reduce_mod
+from quasigalois.cyclotomic import _conjugate, _conv, _galois_tower, _make, _reduce_mod
 from quasigalois.serialize import _MAX_CONDUCTOR
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
@@ -331,6 +332,131 @@ def test_extension_products_match_the_five_convolution_formula():
             assert product.key() == _five_convolution_product(x, y).key()
             assert product.context is ext
         assert g * g == ext.embed(ext.lambda_sq)
+
+
+def _convolution_product(x, y):
+    """The plain-field product __mul__ used before: one convolution, one
+    reduction modulo Phi_N and one normalization, whatever the factors."""
+    ctx = x.context
+    vec = _reduce_mod(_conv(x.nums, y.nums), ctx.modulus)
+    return _make(ctx, tuple(vec), x.den * y.den)
+
+
+def _reference_product(x, y):
+    if x.context.lambda_sq is None:
+        return _convolution_product(x, y)
+    return _five_convolution_product(x, y)
+
+
+def _product_operands(ctx, rng):
+    """0, +-1, p/q, monomials z^k, and dense elements of ctx."""
+    out = [ctx.zero(), ctx.one(), -ctx.one(), ctx.from_int(7)]
+    out += [ctx.from_rational(Fraction(p, q)) for p, q in ((3, 4), (-5, 6), (1, 9))]
+    z = ctx.zeta()
+    for k in (1, 2, ctx.degree - 1, ctx.conductor - 1):
+        out += [z ** k, (z ** k) * Fraction(-2, 3)]
+    out += [random_element(ctx, rng) for _ in range(4)]
+    if ctx.lambda_sq is not None:
+        g = ctx.sqrt_generator()
+        out += [g, g * Fraction(5, 2), ctx.embed(ctx.lambda_sq)]
+    return out
+
+
+def test_products_match_the_convolution_path():
+    # a rational factor only scales and 0 or 1 short-cut; the result must be
+    # the (nums, den) the full convolution path gives, in both orders
+    rng = random.Random(20261024)
+    contexts = [FieldContext(n) for n in (1, 2, 3, 4, 8, 24, 28, 105)]
+    base = FieldContext(24)
+    contexts.append(base.extend_sqrt(base.one() + base.zeta()))
+    for ctx in contexts:
+        twin = FieldContext(ctx.conductor)
+        if ctx.lambda_sq is not None:
+            twin = twin.extend_sqrt(twin.embed(ctx.lambda_sq))
+        operands = _product_operands(ctx, rng)
+        for x in operands:
+            for y in operands:
+                for a, b in ((x, y), (y, x), (x, FieldElement(twin, y.nums, y.den))):
+                    got = a * b
+                    want = _reference_product(a, b)
+                    assert (got.nums, got.den) == (want.nums, want.den), (ctx, a, b)
+                    assert got.context.compatible(ctx)
+        for q in (0, 1, -1, Fraction(2, 3)):
+            for x in operands[-4:]:
+                want = _reference_product(x, ctx.from_rational(q))
+                for got in (x * q, q * x):
+                    assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_dot_skips_zero_terms_between_nonzero_ones():
+    rng = random.Random(20261025)
+    for ctx in _dot_contexts():
+        for length in range(1, 7):
+            for _ in range(10):
+                xs = [_sparse_element(ctx, rng) for _ in range(length)]
+                ys = [_sparse_element(ctx, rng) for _ in range(length)]
+                for i in rng.sample(range(length), rng.randint(1, length)):
+                    if rng.random() < 0.5:
+                        xs[i] = ctx.zero()
+                    else:
+                        ys[i] = ctx.zero()
+                want = ctx.zero()
+                for x, y in zip(xs, ys):
+                    want = want + _reference_product(x, y)
+                got = ctx.dot(xs, ys)
+                assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_dot_of_zero_terms_only_is_the_normalized_zero():
+    for ctx in _dot_contexts():
+        tiny = ctx.from_rational(Fraction(1, 997))
+        big = ctx.zeta() * Fraction(-4, 1001) + tiny
+        for xs, ys in (
+            ([], []),
+            ([ctx.zero()], [big]),
+            ([big, ctx.zero(), tiny], [ctx.zero(), big, ctx.zero()]),
+        ):
+            got = ctx.dot(xs, ys)
+            assert got.is_zero()
+            assert got.den == 1
+            assert got.nums == ctx.zero().nums
+
+
+def test_dot_checks_contexts_before_skipping_a_zero_term():
+    ctx = FieldContext(8)
+    ext = ctx.extend_sqrt(ctx.from_int(-2))
+    for bad in (FieldContext(12).zero(), FieldContext(4).zero(), ext.zero()):
+        for xs, ys in (
+            ([bad], [ctx.one()]),
+            ([ctx.one()], [bad]),
+            ([ctx.zero(), bad], [ctx.zeta(), ctx.zero()]),
+            ([ctx.one(), ctx.zero()], [ctx.one(), bad]),
+        ):
+            with pytest.raises(ValueError):
+                ctx.dot(xs, ys)
+
+
+def test_equal_elements_hash_equal():
+    # a rational element equals its int or Fraction, so it must hash like it
+    base = FieldContext(12)
+    contexts = (base, FieldContext(7), base.extend_sqrt(base.from_int(-3)))
+    for ctx in contexts:
+        for q in (0, 1, -1, 5, Fraction(1, 2), Fraction(-7, 3)):
+            e = ctx.from_rational(q)
+            assert e == q
+            assert hash(e) == hash(q)
+            assert hash(e) == hash(Fraction(q))
+            assert len({e, q}) == 1
+            assert q in {e}
+            assert e in {q}
+            assert {q: "q"}[e] == "q"
+        assert len({ctx.one(), 1}) == 1
+        assert Fraction(1, 2) in {ctx.from_rational(Fraction(1, 2))}
+        if ctx.lambda_sq is None:
+            z = ctx.zeta() * Fraction(3, 5) + 1
+            twin = FieldElement(FieldContext(ctx.conductor), z.nums, z.den)
+            assert twin == z
+            assert hash(twin) == hash(z)
 
 
 def _linear_search_order(e, cap=2048):
