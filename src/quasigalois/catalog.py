@@ -597,12 +597,11 @@ def evaluate(instance):
         _add_check(checks, "aut_closure_order", exp["aut_closure_order"], len(groups["aut"]))
 
     if exp.get("contains_unit_point_homology"):
-        keys = {m.canonical_key() for m in groups["g3"]}
         _add_check(
             checks,
             "contains_unit_point_homology",
             True,
-            instance.extras["unit_point_homology"].canonical_key() in keys,
+            instance.extras["unit_point_homology"] in groups["g3"],
         )
     if "order3_locus_line" in exp:
         line = ProjLine.from_ints(ctx, exp["order3_locus_line"])

@@ -2,11 +2,14 @@
 
 Points and lines share one body, a canonical triple `coords` scaled so its
 first nonzero entry is 1 (a line's `coeffs` is the same triple), so equality
-and hashing are projective; forms are compared up to a scalar, and matrices
-keyed, by the same scaling.  Ternary forms are sparse exponent
-dictionaries; restriction to a line produces a binary form in the
-parametrization by the line's two spanning vectors, from which intersection
-multiplicities and full intersection profiles are computed exactly.
+and hashing are projective.  Forms and matrices are compared up to a scalar
+with no inversion, by cross-multiplying against the first nonzero entry
+(`_proportional`); a matrix's hash and `canonical_key` use the canonical
+scaling of its nine entries, which equal matrices share.  Ternary forms are
+sparse exponent dictionaries; restriction to a line produces a binary form
+in the parametrization by the line's two spanning vectors, from which
+intersection multiplicities and full intersection profiles are computed
+exactly.
 
 Every entry of a matrix product, point or line image, 2x2 minor (cross
 products, determinant, adjugate) and every value of a line or form at a point
@@ -46,6 +49,55 @@ def _canonicalize(coords):
         pivot.context.one(),
         *(c if c.is_zero() else c * inv for c in coords[p + 1 :]),
     )
+
+
+def _proportional(xs, ys):
+    """Whether two coordinate sequences differ by a unit factor, with no inversion.
+
+    They must have their zeros in the same places and, at the first nonzero
+    index p, x_i * y_p = y_i * x_p for every i: one 2-term sum of products
+    per entry, stopping at the first that is not zero.  With x_p and y_p
+    units this says x = (x_p / y_p) * y; when they are equal it says x = y,
+    checked entry by entry.  In a field every nonzero pivot is a unit; in
+    K[l] = K x K a pivot that is a zero divisor raises
+    ZeroDivisorEncountered, as inverting it would.  Two zero sequences are
+    proportional.
+    """
+    xp = None
+    for x, y in zip(xs, ys):
+        if x.is_zero():
+            if not y.is_zero():
+                return False
+        elif y.is_zero():
+            return False
+        elif xp is None:
+            xp, yp = x, y
+            same = x == y
+            if not same:
+                dot = x.context.dot
+                neg = -x
+                _require_unit(x)
+                _require_unit(y)
+        elif same:
+            if x != y:
+                return False
+        elif not dot((x, y), (yp, neg)).is_zero():
+            return False
+    return True
+
+
+def _require_unit(e):
+    """Raise ZeroDivisorEncountered when a nonzero element of K[l] is no unit.
+
+    A nonzero element of a field is a unit.  u + v*l is one exactly when its
+    norm u^2 - c v^2 is nonzero; only otherwise is the inversion that reports
+    the zero divisor paid.
+    """
+    if e.context.lambda_sq is None:
+        return
+    u, v = e.parts()
+    if (u * u - e.context.lambda_sq * (v * v)).is_zero():
+        e.inverse()
 
 
 def _cross(a, b):
@@ -258,14 +310,17 @@ class ProjMatrix:
     def canonical_key(self):
         """Hashable key invariant under scalar rescaling of the matrix."""
         if self._ckey is None:
-            flat = [c for row in self.rows for c in row]
-            self._ckey = tuple(c.key() for c in _canonicalize(flat))
+            self._ckey = tuple(c.key() for c in _canonicalize(self.entries()))
         return self._ckey
+
+    def entries(self):
+        """The nine entries, row by row."""
+        return [c for row in self.rows for c in row]
 
     def __eq__(self, other):
         if not isinstance(other, ProjMatrix):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return _proportional(self.entries(), other.entries())
 
     def __hash__(self):
         return hash(self.canonical_key())
@@ -536,10 +591,8 @@ class HomoPoly:
         """True when the two forms differ by a nonzero scalar factor."""
         if self.degree != other.degree or self.terms.keys() != other.terms.keys():
             return False
-        exps = sorted(self.terms)
-        mine = [self.terms[e] for e in exps]
-        theirs = [other.terms[e] for e in exps]
-        return not exps or _canonicalize(mine) == _canonicalize(theirs)
+        theirs = other.terms
+        return _proportional(list(self.terms.values()), [theirs[e] for e in self.terms])
 
     def __repr__(self):
         names = ("X", "Y", "Z")

@@ -9,7 +9,17 @@ above p and the ring map
 
 defined on every element whose denominator is prime to p.  `Reduction` is
 that map; `split_reductions` lists the good ones in increasing order of p
-(``smoothness`` picks from them for a form).
+(``smoothness`` picks from them for a form, ``groups`` for a set of
+matrices).
+
+A quadratic extension K[l] = K[X]/(X^2 - c) reduces the same way once l is
+sent to a root s of X^2 - c-bar in F_p, which exists exactly when c-bar is
+a square; only primes where c-bar is a nonzero square are taken.  Then
+u + v*l -> u-bar + s * v-bar is a ring map on the elements with
+denominators prime to p, whether K[l] is a field or K x K.  As p is odd and
+c-bar is nonzero, X^2 - c-bar is separable mod p, so O_P[l] is etale over
+the local ring O_P: the kernel of the map is a prime Q of K[l] of residue
+field F_p, and an element of K[l] whose cube is a unit at Q is a unit at Q.
 """
 
 from __future__ import annotations
@@ -22,29 +32,46 @@ def _is_prime(n):
 
 
 class Reduction:
-    """The ring map Q(zeta_N) -> F_p at the prime above p given by zeta -> root.
+    """The ring map Q(zeta_N)[l] -> F_p at the prime above p given by zeta -> root.
 
     The root is r = g^((p-1)/N) mod p for the least base g that makes r a
-    primitive N-th root of unity.
+    primitive N-th root of unity.  With ``lambda_sq`` (a nonzero element c
+    of Q(zeta_N)) the map is on K[l], l^2 = c, and sends l to ``sqrt``, the
+    smaller square root of c-bar; a prime at which c-bar is zero, not a
+    square or undefined raises ValueError.
     """
 
-    __slots__ = ("p", "root", "_powers")
+    __slots__ = ("p", "root", "sqrt", "signature", "_powers")
 
-    def __init__(self, conductor, p):
+    def __init__(self, conductor, p, lambda_sq=None):
         if p <= 3 or not _is_prime(p) or (p - 1) % conductor:
             raise ValueError("need a prime p > 3 with p = 1 (mod %d)" % conductor)
         self.p = p
         self.root = _primitive_root_of_unity(conductor, p)
         self._powers = [pow(self.root, i, p) for i in range(conductor)]
+        self.sqrt = None
+        self.signature = (conductor, None)
+        if lambda_sq is not None:
+            c = self.element(lambda_sq) if lambda_sq.den % p else 0
+            self.sqrt = _sqrt_mod(c, p)
+            if self.sqrt is None:
+                raise ValueError("lambda_sq is not a nonzero square mod the prime above %d" % p)
+            self.signature = (conductor, (lambda_sq.nums, lambda_sq.den))
 
     def element(self, e):
-        """The residue of a plain cyclotomic element with denominator prime to p."""
-        if e.context.lambda_sq is not None:
-            raise ValueError("reduction needs a plain cyclotomic element")
+        """The residue of an element of this field with denominator prime to p."""
+        if e.context.signature != self.signature:
+            raise ValueError("the element is not in the field of this reduction")
         p = self.p
         if e.den % p == 0:
             raise ZeroDivisionError("denominator divisible by %d" % p)
-        acc = sum(c * r for c, r in zip(e.nums, self._powers))
+        powers = self._powers
+        if self.sqrt is None:
+            acc = sum(c * r for c, r in zip(e.nums, powers))
+        else:
+            m = e.context.degree
+            acc = sum(c * r for c, r in zip(e.nums[:m], powers))
+            acc += self.sqrt * sum(c * r for c, r in zip(e.nums[m:], powers))
         return acc * pow(e.den, -1, p) % p
 
 
@@ -59,14 +86,48 @@ def _primitive_root_of_unity(n, p):
             return r
 
 
-def split_reductions(conductor, dens, above=3):
+def _sqrt_mod(a, p):
+    """The smaller square root of a nonzero square a mod the odd prime p, else None.
+
+    Tonelli-Shanks: with p - 1 = q * 2^s, q odd, r = a^((q+1)/2) is a root up
+    to the 2-power-order error t = a^q, which each step halves in order by a
+    power b of a non-square's q-th power c.
+    """
+    a %= p
+    if not a or pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
+def split_reductions(conductor, dens, above=3, lambda_sq=None):
     """The reductions at the primes p > above, p = 1 (mod N), prime to dens.
 
     In increasing order of p; every element whose denominator divides a
-    product of dens is P-integral at each of them.
+    product of dens is P-integral at each of them.  With ``lambda_sq`` only
+    the primes where it reduces to a nonzero square are listed, each with
+    the Reduction of K[l].
     """
+    if lambda_sq is not None:
+        dens = [*dens, lambda_sq.den]
     p = above - (above - 1) % conductor  # the largest p <= above with p = 1 (mod N)
     while True:
         p += conductor
         if _is_prime(p) and all(d % p for d in dens):
-            yield Reduction(conductor, p)
+            red = Reduction(conductor, p)
+            if lambda_sq is None:
+                yield red
+            elif _sqrt_mod(red.element(lambda_sq), p) is not None:
+                yield Reduction(conductor, p, lambda_sq)

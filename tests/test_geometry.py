@@ -15,12 +15,14 @@ from quasigalois import (
     ProjLine,
     ProjMatrix,
     ProjPoint,
+    ZeroDivisorEncountered,
     intersection_multiplicity,
     line_profile,
     tangent_line,
 )
 from quasigalois import catalog
 from quasigalois.geometry import _canonicalize
+from quasigalois.modular import split_reductions
 
 
 def random_point(ctx, rng):
@@ -603,6 +605,72 @@ def test_proportional_to_matches_the_ratio_test():
             if len(f.terms) > 1:
                 assert not f.proportional_to(HomoPoly(ctx, degree, bumped))
         assert zero4.proportional_to(zero4) and not zero4.proportional_to(zero6)
+
+
+def test_proportional_to_edge_cases():
+    ctx = FieldContext(24)
+    z = ctx.zeta()
+    red = next(split_reductions(24, []))
+    f = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 2, (0, 4, 0): -3, (1, 1, 2): 5})
+    moved = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 2, (0, 4, 0): -3, (1, 2, 1): 5})
+    fewer = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 2, (0, 4, 0): -3})
+    zero = HomoPoly.zero(ctx, 4)
+    bump = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1})
+    for g in (moved, fewer, zero):
+        assert not f.proportional_to(g) and not g.proportional_to(f)
+    assert zero.proportional_to(zero)
+    # a root of unity, the prime itself and z - r (zero mod P) are all
+    # nonzero scalars of the field
+    non_unit = z - red.root
+    assert red.element(non_unit) == 0
+    for s in (z, ctx.from_int(red.p), non_unit, non_unit.inverse(), -ctx.one()):
+        assert f.proportional_to(f.scale(s)) and f.scale(s).proportional_to(f)
+        assert not f.proportional_to(f.scale(s) + bump)
+        assert ProjMatrix(ctx, [[c * s for c in row] for row in _diagonal(ctx, z)]) == (
+            ProjMatrix(ctx, _diagonal(ctx, z))
+        )
+
+
+def _diagonal(ctx, d):
+    one, zero = ctx.one(), ctx.zero()
+    return [[d, zero, zero], [zero, one, zero], [zero, zero, one]]
+
+
+def test_matrix_equality_agrees_with_canonical_keys():
+    rng = random.Random(20261019)
+    for ctx in _kernel_contexts():
+        for _ in range(10):
+            a = random_kernel_matrix(ctx, rng, rng.choice(("general", "rank1")))
+            if all(c.is_zero() for row in a.rows for c in row):
+                continue
+            s = random_element(ctx, rng)
+            while s.is_zero():
+                s = random_element(ctx, rng)
+            scaled = ProjMatrix(ctx, [[c * s for c in row] for row in a.rows])
+            bumped = [list(row) for row in scaled.rows]
+            i, j = rng.randrange(3), rng.randrange(3)
+            bumped[i][j] = bumped[i][j] + ctx.one()
+            for b in (a, scaled, ProjMatrix(ctx, bumped), random_invertible(ctx, rng)):
+                same = a.canonical_key() == b.canonical_key()
+                assert (a == b) == (b == a) == same
+                assert not same or hash(a) == hash(b)
+
+
+def test_a_zero_divisor_pivot_raises_as_its_inversion_would():
+    base = FieldContext(8)
+    ctx = base.extend_sqrt(base.from_int(4))  # K x K: l = (2, -2)
+    l = ctx.sqrt_generator()
+    e = ctx.one() + l * Fraction(1, 2)  # (2, 0), a zero divisor
+    a = ProjMatrix(ctx, _diagonal(ctx, e))
+    b = ProjMatrix(ctx, [[c * ctx.embed(base.zeta()) for c in row] for row in a.rows])
+    assert a == a
+    with pytest.raises(ZeroDivisorEncountered):
+        a.canonical_key()
+    with pytest.raises(ZeroDivisorEncountered):
+        a == b
+    f = HomoPoly(ctx, 4, {(4, 0, 0): e, (0, 4, 0): ctx.one()})
+    with pytest.raises(ZeroDivisorEncountered):
+        f.proportional_to(f.scale(ctx.embed(base.zeta())))
 
 
 def _scale_every_entry(coords):

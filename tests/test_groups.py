@@ -1,6 +1,7 @@
 """Matrix group closures, projective orders, and line actions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,11 @@ from quasigalois import (
     order_histogram,
     projective_order,
     restrict_to_line,
+    ZeroDivisorEncountered,
 )
 from quasigalois import catalog
+from quasigalois.cyclotomic import FieldElement
+from quasigalois.modular import split_reductions
 
 
 def diag(ctx, *entries):
@@ -317,3 +321,104 @@ def test_quadratic_extension_keeps_exact_keys():
     assert len(exact) == 48
     assert len(with_curve) == len(exact)
     assert all(a == b for a, b in zip(with_curve, exact))
+
+
+def _default_reduction(ctx, entries):
+    """The least split prime, for ctx, at which every entry is P-integral."""
+    dens = {c.den for c in entries}
+    return next(split_reductions(ctx.conductor, dens, lambda_sq=ctx.lambda_sq))
+
+
+def _scaled(m, s):
+    return ProjMatrix(m.context, [[c * s for c in row] for row in m.rows])
+
+
+def test_generators_scaled_by_non_units_at_the_default_prime(evaluations):
+    # p and zeta - r reduce to 0 at the prime P that keys the plain
+    # generators, so the keys must come from another prime
+    for name, key, gens, _curve in _catalog_closures(evaluations):
+        if key == "generators" and name != "quartic_klein":
+            continue
+        ctx = gens[0].context
+        red = _default_reduction(ctx, [c for g in gens for c in g.entries()])
+        non_unit = ctx.zeta() - red.root
+        assert red.element(non_unit) == 0
+        reference = _reference_closure(gens)
+        for scaled in (
+            [_scaled(g, ctx.from_int(red.p)) for g in gens],
+            [_scaled(g, non_unit) if i % 2 else g for i, g in enumerate(gens)],
+        ):
+            _assert_same_group(group_closure(scaled), reference, (name, key, red.p))
+
+
+def test_line_action_of_elements_scaled_by_non_units(evaluations):
+    ev = evaluations["sextic_delta8"]
+    ctx = ev.instance.context
+    line = ProjLine.from_ints(ctx, (0, 0, 1))
+    for key in ("g3", "aut"):
+        group = ev.groups[key]
+        entries = [c for m in group for row in restrict_to_line(m, line) for c in row]
+        red = _default_reduction(ctx, entries)
+        plain = line_action_analysis(group, line)
+        expected = (plain.kernel_order, plain.image_order, plain.histogram)
+        for s in (ctx.from_int(red.p), ctx.zeta() - red.root):
+            assert red.element(s) == 0
+            for moved in (
+                [_scaled(m, s) for m in group],
+                [_scaled(m, s) if i % 3 else m for i, m in enumerate(group)],
+            ):
+                report = line_action_analysis(moved, line)
+                actual = (report.kernel_order, report.image_order, report.histogram)
+                assert actual == expected, (key, red.p)
+
+
+def test_closure_and_line_action_make_no_field_inversion(evaluations, monkeypatch):
+    ev = evaluations["sextic_delta8"]
+    gens = next(
+        g for n, k, g, _c in _catalog_closures(evaluations) if (n, k) == ("sextic_delta8", "aut")
+    )
+    aut = ev.groups["aut"]
+    line = ProjLine.from_ints(ev.instance.context, (0, 0, 1))
+
+    def no_inversion(self):
+        raise AssertionError("a field inversion")
+
+    monkeypatch.setattr(FieldElement, "inverse", no_inversion)
+    group = group_closure(gens)
+    report = line_action_analysis(aut, line)
+    monkeypatch.undo()
+    _assert_same_group(group, aut, "aut")
+    assert (report.kernel_order, report.image_order) == (6, 24)
+
+
+def test_closure_over_k_times_k():
+    # l^2 = 4 splits Q(zeta_8)[l] as K x K with l = (2, -2): l/2 = (1, -1)
+    base = FieldContext(8)
+    ctx = base.extend_sqrt(base.from_int(4))
+    half_l = ctx.sqrt_generator() * Fraction(1, 2)
+    one = ctx.one()
+    gens = [diag(ctx, half_l, one, one), diag(ctx, ctx.embed(base.zeta()), one, one)]
+    group = group_closure(gens)
+    assert len(group) == 16
+    _assert_same_group(group, _reference_closure(gens), "K x K")
+    # a determinant that is a zero divisor is no unit: the group is not one
+    e = one + half_l  # (2, 0)
+    with pytest.raises(ZeroDivisorEncountered):
+        group_closure([diag(ctx, e, one, one)])
+
+
+def test_prime_choice_skips_denominators_and_singular_restrictions():
+    ctx = FieldContext(24)
+    z, one = ctx.zeta(), ctx.one()
+    red = _default_reduction(ctx, [one])
+    # entries with p in their denominator are not P-integral: another prime keys them
+    zero = ctx.zero()
+    shift = one * Fraction(1, red.p)
+    m = ProjMatrix(ctx, [[one, shift, zero], [zero, one, zero], [zero, zero, one]])
+    g = m.inverse() * diag(ctx, z, one, one) * m
+    assert any(c.den % red.p == 0 for c in g.entries())
+    assert len(group_closure([g])) == 24
+    line = ProjLine.from_ints(ctx, (0, 0, 1))
+    flat = diag(ctx, one, ctx.zero(), one)
+    with pytest.raises(ValueError, match="element 1 restricts to a singular matrix"):
+        line_action_analysis([ProjMatrix.identity(ctx), flat], line)

@@ -62,3 +62,49 @@ def test_reduction_rejects_bad_primes_and_denominators():
     ctx = FieldContext(4)
     with pytest.raises(ZeroDivisionError):
         Reduction(4, 5).element(ctx.from_rational(Fraction(1, 5)))
+
+
+def _sqrt2_times_2(base):
+    z = base.zeta()
+    return (z + z ** 7) * 2  # lambda^2 = 2*sqrt(2) of quartic_xy a=6
+
+
+def test_reduction_of_a_quadratic_extension_is_a_ring_map():
+    rng = random.Random(20261019)
+    base = FieldContext(8)
+    # a field (2*sqrt(2) is no square in Q(zeta_8)) and K x K (zeta^2 = i is)
+    for lam, least in ((_sqrt2_times_2(base), 73), (base.zeta() ** 2, 17)):
+        ctx = base.extend_sqrt(lam)
+        red = next(split_reductions(8, [], lambda_sq=lam))
+        p = red.p
+        assert p == least
+        assert red.element(ctx.sqrt_generator()) == red.sqrt
+        assert red.sqrt ** 2 % p == Reduction(8, p).element(lam)
+        assert red.element(ctx.embed(base.zeta())) == red.root
+        for _ in range(20):
+            a = random_element(ctx, rng)
+            b = random_element(ctx, rng)
+            assert red.element(a + b) == (red.element(a) + red.element(b)) % p
+            assert red.element(a * b) == red.element(a) * red.element(b) % p
+            u = random_element(base, rng)
+            assert red.element(ctx.embed(u)) == Reduction(8, p).element(u)
+
+
+def test_reduction_of_a_quadratic_extension_rejects_bad_primes():
+    base = FieldContext(8)
+    lam = _sqrt2_times_2(base)
+    for p in (17, 41):  # 2*sqrt(2) is no square mod the prime above p
+        with pytest.raises(ValueError, match="not a nonzero square"):
+            Reduction(8, p, lambda_sq=lam)
+    with pytest.raises(ValueError, match="not a nonzero square"):
+        Reduction(8, 17, lambda_sq=base.from_rational(Fraction(1, 17)))
+    with pytest.raises(ValueError, match="not a nonzero square"):
+        Reduction(8, 17, lambda_sq=base.from_int(17))
+    # an element of another field is refused, not misread
+    kl = base.extend_sqrt(lam)
+    with pytest.raises(ValueError, match="not in the field"):
+        Reduction(8, 17).element(kl.one())
+    with pytest.raises(ValueError, match="not in the field"):
+        Reduction(8, 73, lambda_sq=lam).element(base.one())
+    with pytest.raises(ValueError, match="not in the field"):
+        Reduction(8, 17).element(FieldContext(4).one())
