@@ -1,8 +1,9 @@
 """Seed-driven census of quasi-Galois points: orbit closure, pairs, counts.
 
 Starting from seed points, the census classifies the seeds and closes them
-into their orbit under the homologies found there (an automorphism h of the
-curve maps the group at P onto the group at h(P)).  It records mutual pairs
+into their orbit under the homologies found there.  An automorphism h of the
+curve maps the group at P onto the group at h(P), so each image's record is
+carried from its preimage's, not classified again.  It records mutual pairs
 — two points whose generators fix each other's center, read off the axes as
 a homology fixes just its center and axis — the triangles they form, the
 per-order tallies delta[n] (points on the curve with group order exactly n)
@@ -23,7 +24,7 @@ from math import gcd
 
 from .errors import ClosureCapExceeded, InvariantViolation, NotAGPair, SamePoint
 from .geometry import ProjMatrix
-from .homology import classify_point
+from .homology import Homology, PointRecord, classify_point, homology_matrix
 
 
 def orbit_expand(form, seeds, cap=10000):
@@ -32,9 +33,11 @@ def orbit_expand(form, seeds, cap=10000):
     One breadth-first pass applies each generator found at a seed to each
     point in the order found.  A point q = h(s) has G_q = h G_s h^-1 inside
     the group the seed generators span, so the orbit is closed under the
-    generator at each of its points.  An image g(p) keeps p's order and
-    locus, which is checked.  Returns an insertion-ordered dict, seeds first,
-    of PointRecords; raises ClosureCapExceeded when over `cap` points appear.
+    generator at each of its points; an image g(p) carries p's record and is
+    not classified.  Each generator's center is its record's point, and a
+    nontrivial homology has one center, so distinct points have disjoint
+    groups.  Returns an insertion-ordered dict, seeds first, of PointRecords;
+    raises ClosureCapExceeded when over `cap` points appear.
     """
     points = list(dict.fromkeys(seeds))
     if len(points) > cap:
@@ -42,19 +45,32 @@ def orbit_expand(form, seeds, cap=10000):
     records = {p: classify_point(form, p) for p in points}
     generators = [r.generator.matrix for r in records.values() if r.is_quasi_galois]
     for p in points:  # grows while it is iterated
-        rec = records[p]
         for g in generators:
             q = g.apply_to_point(p)
             if q in records:
                 continue
             if len(records) >= cap:
                 raise ClosureCapExceeded(cap)
-            image = classify_point(form, q)
-            if (image.order, image.on_curve) != (rec.order, rec.on_curve):
-                raise InvariantViolation("an image keeps its point's order and locus")
-            records[q] = image
+            records[q] = _carry(records[p], g, q)
             points.append(q)
     return records
+
+
+def _carry(rec, g, q):
+    """The record at q = g(p), p = rec.point, for a homology g of the curve.
+
+    g maps the curve and the projection from p onto those at q, so q keeps
+    p's locus, order and tangency; its generator g G g^-1 has center q, axis
+    g(axis) and G's ratio, the matrix that classifying q builds.
+    """
+    if rec.generator is None:
+        return PointRecord(q, rec.on_curve, rec.projection_degree, 1, None, None)
+    zeta = rec.generator.zeta
+    axis = g.apply_to_line(rec.generator.axis)
+    generator = Homology(homology_matrix(q, axis, zeta), q, axis, zeta, rec.order)
+    return PointRecord(
+        q, rec.on_curve, rec.projection_degree, rec.order, generator, rec.tangency
+    )
 
 
 def is_mutual_pair(rec1, rec2):
@@ -279,33 +295,16 @@ def _certify(degree, delta_prime):
 def census(curve, seeds, cap=10000):
     """Full census of a smooth plane curve (a PlaneCurve) from seed points.
 
-    Runs the orbit closure, builds the pair graph and triangles, applies the
-    structural consistency checks (distinct points share no nontrivial
-    homology; for outer mutual pairs the three common fixed points avoid the
-    curve), and certifies the tallies.
+    Classifies the seeds and carries their records along the orbit closure,
+    builds the pair graph and triangles, checks that the three common fixed
+    points of an outer mutual pair avoid the curve, and certifies the tallies.
     """
     form = curve.form
     records = orbit_expand(form, seeds, cap=cap)
-    _assert_groups_disjoint(records)
     pairs = build_pair_graph(records)
     _assert_pair_fixed_loci_off_curve(form, pairs)
     triples = find_triples(pairs)
     return CensusReport(form.degree, records, pairs, triples)
-
-
-def _assert_groups_disjoint(records):
-    """Homology groups at distinct points meet only in the identity.
-
-    A nontrivial power of a homology is a homology with the same center, and
-    a nontrivial homology has exactly one center (its fixed points are the
-    axis and the center).  Records are keyed by distinct points, so the
-    groups are disjoint once each generator's center is its record's point.
-    """
-    for rec in records.values():
-        if rec.is_quasi_galois and rec.generator.center != rec.point:
-            raise InvariantViolation(
-                "homology groups at distinct points intersect trivially"
-            )
 
 
 def _assert_pair_fixed_loci_off_curve(form, pairs):

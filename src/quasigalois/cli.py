@@ -45,15 +45,14 @@ from .homology import classify_point
 from .oracle import numeric_census
 from .serialize import (
     _check_object,
+    _record_to_json,
     curve_from_json,
     form_from_json,
     generators_from_json,
     group_to_json,
     line_from_literal,
-    line_to_json,
     point_from_json,
     point_from_literal,
-    point_to_json,
     report_to_json,
     sorted_records,
 )
@@ -202,16 +201,7 @@ def _cmd_point(args):
     point = point_from_literal(args.point, ctx)
     record = classify_point(curve.form, point)
     if args.format == "json":
-        _print_json(
-            {
-                "point": point_to_json(record.point),
-                "order": record.order,
-                "locus": record.kind,
-                "axis": None
-                if record.generator is None
-                else line_to_json(record.generator.axis),
-            }
-        )
+        _print_json(_record_to_json(record))
     else:
         print("order %d, %s" % (record.order, record.kind))
         if record.generator is not None:

@@ -146,7 +146,7 @@ def solve_homology(form, point, zeta):
 
 
 class PointRecord:
-    """Result of classifying one point against one curve."""
+    """One point on one curve: classified, or carried from its preimage in an orbit."""
 
     __slots__ = (
         "point",

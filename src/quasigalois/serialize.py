@@ -336,17 +336,18 @@ def sorted_records(report):
     return sorted(records, key=lambda r: r.point.key())
 
 
+def _record_to_json(rec):
+    """One point record: its point, order, locus and axis (null for order 1)."""
+    return {
+        "point": point_to_json(rec.point),
+        "order": rec.order,
+        "locus": rec.kind,
+        "axis": None if rec.generator is None else line_to_json(rec.generator.axis),
+    }
+
+
 def report_to_json(report):
-    points = []
-    for rec in sorted_records(report):
-        points.append(
-            {
-                "point": point_to_json(rec.point),
-                "order": rec.order,
-                "locus": rec.kind,
-                "axis": line_to_json(rec.generator.axis),
-            }
-        )
+    points = [_record_to_json(rec) for rec in sorted_records(report)]
     pairs = []
     for info in report.pairs:
         keyed = sorted(

@@ -9,10 +9,8 @@ from quasigalois import (
     ClosureCapExceeded,
     FieldContext,
     HomoPoly,
-    InvariantViolation,
     NotAGPair,
     PlaneCurve,
-    PointRecord,
     ProjLine,
     ProjMatrix,
     ProjPoint,
@@ -28,7 +26,7 @@ from quasigalois import (
     orbit_expand,
 )
 from quasigalois import catalog
-from quasigalois.census import _assert_groups_disjoint, build_pair_graph
+from quasigalois.census import build_pair_graph
 from quasigalois.cyclotomic import _conjugate
 from quasigalois.serialize import sorted_records
 
@@ -221,34 +219,81 @@ def test_moved_census_matches_the_closure_under_every_generator(evaluations):
             _assert_matches_reference(form, seeds, census(PlaneCurve(form), seeds))
 
 
-def test_an_image_of_another_order_violates_the_orbit_invariant(monkeypatch):
-    inst = catalog.make("fermat_quartic")
-    ctx = inst.context
-    form = inst.curve.form
-    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
-    image = next(p for p in orbit_expand(form, seeds) if p not in seeds)
+def _assert_carried_records_are_classified(form, seeds, records):
+    """Each image's carried record is exactly what classifying it gives."""
+    seeds = set(seeds)
+    carried = [p for p in records if p not in seeds]
+    for p in carried:
+        rec, ref = records[p], classify_point(form, p)
+        assert rec.point == ref.point == p
+        assert (rec.order, rec.on_curve, rec.projection_degree, rec.tangency) == (
+            ref.order,
+            ref.on_curve,
+            ref.projection_degree,
+            ref.tangency,
+        ), p
+        if ref.generator is None:
+            assert rec.generator is None, p
+            continue
+        gen, ref_gen = rec.generator, ref.generator
+        assert gen.center.coords == ref_gen.center.coords, p
+        assert gen.axis.coords == ref_gen.axis.coords, p
+        assert (gen.zeta, gen.order) == (ref_gen.zeta, ref_gen.order), p
+        for row, ref_row in zip(gen.matrix.rows, ref_gen.matrix.rows):
+            assert list(row) == list(ref_row), p
+    return [records[p] for p in carried]
 
-    def lying(form, point):
-        rec = classify_point(form, point)
-        if point != image:
-            return rec
-        return PointRecord(point, rec.on_curve, rec.projection_degree, 1, None, None)
 
-    # the package exports the census function under the module's name
-    monkeypatch.setattr(sys.modules["quasigalois.census"], "classify_point", lying)
-    with pytest.raises(InvariantViolation):
-        orbit_expand(form, seeds)
+def test_carried_records_equal_their_classification(evaluations):
+    # the orbit closure classifies only the seeds; an automorphism g maps
+    # the group at p onto the group at g(p), so each image's carried record
+    # must equal its classification, entry for entry
+    rng = random.Random(8128)  # the moved members of the test above
+    carried = 0
+    for ev in evaluations.values():
+        inst = ev.instance
+        carried += len(
+            _assert_carried_records_are_classified(
+                inst.curve.form, inst.seeds, ev.report.records
+            )
+        )
+        for _ in range(2):
+            m = _unimodular(inst.context, rng)
+            inv = m.inverse()
+            form = inst.curve.form.pullback(m)
+            seeds = [inv.apply_to_point(p) for p in inst.seeds]
+            records = orbit_expand(form, seeds)
+            carried += len(_assert_carried_records_are_classified(form, seeds, records))
+    assert carried > 0
 
 
-def test_groups_sharing_a_generator_violate_disjointness():
-    inst = catalog.make("fermat_quartic")
-    ctx = inst.context
-    rec = classify_point(inst.curve.form, ProjPoint.from_ints(ctx, (1, 0, 0)))
-    assert rec.is_quasi_galois
-    other = ProjPoint.from_ints(ctx, (0, 1, 0))
-    impostor = PointRecord(other, False, 4, rec.order, rec.generator, None)
-    with pytest.raises(InvariantViolation):
-        _assert_groups_disjoint({rec.point: rec, other: impostor})
+def test_carried_inner_records_keep_their_tangency():
+    # X^3 Z + Y^4 + Z^4: (1:0:0) is an inner point of order 3, and its images
+    # under the order-4 homology at (0:1:0) are inner points carried with it
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (-1, 0, 1), (1, 1, 0))
+    records = orbit_expand(form, seeds)
+    assert len(records) == 53
+    carried = _assert_carried_records_are_classified(form, seeds, records)
+    z2 = ctx.zeta() ** 2
+    one, zero = ctx.one(), ctx.zero()
+    inner = {r.point: (r.order, r.tangency) for r in carried if r.on_curve}
+    assert inner == {
+        ProjPoint(ctx, [one, zero, z2]): (3, 4),
+        ProjPoint(ctx, [one, zero, one - z2]): (3, 4),
+    }
+
+
+def test_carried_records_over_a_quadratic_extension():
+    special = catalog.make("quartic_xy", a=6)  # Q(zeta_8)[l], l^2 = 2*sqrt(2)
+    ctx = special.context
+    assert ctx.lambda_sq is not None
+    form = special.curve.form
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0))
+    records = orbit_expand(form, seeds)
+    carried = _assert_carried_records_are_classified(form, seeds, records)
+    assert len(carried) == 2 and all(r.order == 2 for r in carried)
 
 
 def test_pair_and_triple_counts_on_full_entries(evaluations):
