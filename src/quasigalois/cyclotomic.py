@@ -31,8 +31,9 @@ K[l] are built from products in K: (u1 + v1 l)(u2 + v2 l) = (u1 u2 + c v1 v2)
 + (u1 v2 + v1 u2) l takes five of them, and by the normal form above the
 result does not depend on the route.  The quotient ring K[l]/(l^2 - c) is used
 without deciding whether c is a square in K: if it is not, the ring is a field
-and nothing special ever happens; if it is, the first inversion of a zero
-divisor raises ZeroDivisorEncountered carrying the discovered factorization.
+and nothing special ever happens; if it is, the first inversion or unit test
+(_unit_norm) of a zero divisor raises ZeroDivisorEncountered carrying the
+discovered factorization.
 Identities proved by pure ring arithmetic in the quotient are valid for every
 embedding of l.
 """
@@ -525,16 +526,10 @@ class FieldElement:
         ctx = self.context
         if ctx.lambda_sq is None:
             return _inv_base(self)
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
         u, v = self.parts()
-        c = ctx.lambda_sq
-        norm = u * u - c * (v * v)
-        if norm.is_zero():
-            if self.is_zero():
-                raise ZeroDivisionError("inverse of zero")
-            # u^2 = c v^2 with (u, v) != 0 forces v != 0; r = u/v satisfies r^2 = c.
-            root = u / v
-            raise ZeroDivisorEncountered(root)
-        inv_norm = _inv_base(norm)
+        inv_norm = _inv_base(_unit_norm(self))
         return ctx.from_parts(u * inv_norm, -(v * inv_norm))
 
     def __truediv__(self, other):
@@ -601,6 +596,24 @@ class FieldElement:
                     pw = "z^%d*l" % e if e > 1 else "z*l"
                 names.append(pw if q == 1 else "%s*%s" % (q, pw))
         return " + ".join(names) if names else "0"
+
+
+def _unit_norm(e):
+    """The norm u^2 - c v^2 in K of a nonzero e = u + v*l of K[l]; None in K.
+
+    A nonzero element of a field is a unit.  In K[l], e is a unit exactly
+    when its norm is nonzero, and then e^-1 = (u - v*l) / norm.  A zero norm
+    raises ZeroDivisorEncountered: u^2 = c v^2 with (u, v) != 0 forces
+    v != 0, and r = u/v satisfies r^2 = c.
+    """
+    c = e.context.lambda_sq
+    if c is None:
+        return None
+    u, v = e.parts()
+    norm = u * u - c * (v * v)
+    if norm.is_zero():
+        raise ZeroDivisorEncountered(u / v)
+    return norm
 
 
 def _conjugate(e, k):

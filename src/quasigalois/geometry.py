@@ -20,7 +20,7 @@ one at a time.
 
 from __future__ import annotations
 
-from .cyclotomic import FieldElement
+from .cyclotomic import FieldElement, _unit_norm
 from .errors import (
     InvariantViolation,
     LineContainedInCurve,
@@ -76,28 +76,14 @@ def _proportional(xs, ys):
             if not same:
                 dot = x.context.dot
                 neg = -x
-                _require_unit(x)
-                _require_unit(y)
+                _unit_norm(x)
+                _unit_norm(y)
         elif same:
             if x != y:
                 return False
         elif not dot((x, y), (yp, neg)).is_zero():
             return False
     return True
-
-
-def _require_unit(e):
-    """Raise ZeroDivisorEncountered when a nonzero element of K[l] is no unit.
-
-    A nonzero element of a field is a unit.  u + v*l is one exactly when its
-    norm u^2 - c v^2 is nonzero; only otherwise is the inversion that reports
-    the zero divisor paid.
-    """
-    if e.context.lambda_sq is None:
-        return
-    u, v = e.parts()
-    if (u * u - e.context.lambda_sq * (v * v)).is_zero():
-        e.inverse()
 
 
 def _cross(a, b):
@@ -235,7 +221,7 @@ class ProjLine(_Triple):
 class ProjMatrix:
     """3x3 matrix acting on the plane; projective equality via canonical scaling."""
 
-    __slots__ = ("context", "rows", "_ckey")
+    __slots__ = ("context", "rows")
 
     def __init__(self, context, rows):
         rows = tuple(
@@ -246,7 +232,6 @@ class ProjMatrix:
             raise ValueError("expected a 3x3 matrix")
         self.context = context
         self.rows = rows
-        self._ckey = None
 
     @classmethod
     def identity(cls, context):
@@ -283,35 +268,28 @@ class ProjMatrix:
         cols = (_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1]))
         return ProjMatrix(self.context, list(zip(*cols)))
 
-    def inverse(self):
-        adj = self.adjugate()
-        # Laplace expansion along row 0 reuses the adjugate's first column
-        d = self.context.dot(self.rows[0], [row[0] for row in adj.rows])
-        if d.is_zero():
-            raise ZeroDivisionError("matrix is singular")
-        inv = d.inverse()
-        return ProjMatrix(
-            self.context, [[c * inv for c in row] for row in adj.rows]
-        )
-
     def apply_to_point(self, point):
         dot = self.context.dot
         x = point.coords
         return ProjPoint(self.context, [dot(row, x) for row in self.rows])
 
     def apply_to_line(self, line):
-        """Image of a line under the point action x -> Mx (covector * M^-1)."""
+        """Image of a line under the point action x -> Mx: the covector a * adj(M).
+
+        adj(M) = det(M) * M^-1, and a line is a covector up to scalar, so this
+        is a * M^-1 with no field inversion.
+        """
         dot = self.context.dot
+        adj = self.adjugate().rows
+        # Laplace expansion along row 0 reuses the adjugate's first column
+        if dot(self.rows[0], [row[0] for row in adj]).is_zero():
+            raise ZeroDivisionError("matrix is singular")
         a = line.coords
-        return ProjLine(
-            self.context, [dot(a, col) for col in zip(*self.inverse().rows)]
-        )
+        return ProjLine(self.context, [dot(a, col) for col in zip(*adj)])
 
     def canonical_key(self):
         """Hashable key invariant under scalar rescaling of the matrix."""
-        if self._ckey is None:
-            self._ckey = tuple(c.key() for c in _canonicalize(self.entries()))
-        return self._ckey
+        return tuple(c.key() for c in _canonicalize(self.entries()))
 
     def entries(self):
         """The nine entries, row by row."""

@@ -12,11 +12,12 @@ element-order histogram identify the quotient (for example the histograms
 groups on four letters).
 
 Membership is found by residue keys and confirmed exactly, with no field
-inversion.  The matrices are reduced at the least split prime p
-(``modular.split_reductions``; for K[l], one where lambda_sq reduces to a
-nonzero square) at which every generator, or every 2x2 restriction, is
-P-integral with a nonzero residue determinant.  Each determinant is a
-nonzero element (in K[l], a unit), so only finitely many primes fail.  A
+inversion.  The matrices are reduced at the least split prime p of their
+context (``modular.split_reductions(context, dens)``; for K[l], one where
+lambda_sq reduces to a nonzero square) at which every generator, or every
+2x2 restriction, is P-integral with a nonzero residue determinant.  Each
+determinant is a nonzero element (in K[l], a unit, or
+``cyclotomic._unit_norm`` raises), so only finitely many primes fail.  A
 product's residue is the product of the residue matrices mod p, and its key
 is that residue scaled so its first nonzero entry is 1.
 
@@ -41,7 +42,8 @@ from .errors import (
     InvariantViolation,
     LineNotPreserved,
 )
-from .geometry import ProjMatrix, _cross, _proportional, _require_unit
+from .cyclotomic import _unit_norm
+from .geometry import ProjMatrix, _cross, _proportional
 from .modular import split_reductions
 
 
@@ -91,7 +93,7 @@ def _key_residues(context, flats, singular):
     divisor of K[l], else the next prime is tried.
     """
     dens = {c.den for flat in flats for c in flat}
-    for red in split_reductions(context.conductor, dens, lambda_sq=context.lambda_sq):
+    for red in split_reductions(context, dens):
         p = red.p
         residues = [tuple(map(red.element, flat)) for flat in flats]
         for i, r in enumerate(residues):
@@ -99,7 +101,7 @@ def _key_residues(context, flats, singular):
                 det = _det(flats[i])
                 if det.is_zero():
                     raise ValueError(singular % i)
-                _require_unit(det)
+                _unit_norm(det)
                 break
         else:
             return p, residues

@@ -8,14 +8,14 @@ above p and the ring map
     Z[zeta_N]_(P) -> F_p,   sum nums[i] zeta^i / den  ->  sum nums[i] r^i / den,
 
 defined on every element whose denominator is prime to p.  `Reduction` is
-that map; `split_reductions` lists the good ones in increasing order of p
-(``smoothness`` picks from them for a form, ``groups`` for a set of
-matrices).
+that map on the field of a FieldContext; `split_reductions` lists the good
+ones for a context in increasing order of p (``smoothness`` picks from them
+for a form, ``groups`` for a set of matrices).
 
-A quadratic extension K[l] = K[X]/(X^2 - c) reduces the same way once l is
-sent to a root s of X^2 - c-bar in F_p, which exists exactly when c-bar is
-a square; only primes where c-bar is a nonzero square are taken.  Then
-u + v*l -> u-bar + s * v-bar is a ring map on the elements with
+A context's quadratic extension K[l] = K[X]/(X^2 - c) reduces the same way
+once l is sent to a root s of X^2 - c-bar in F_p, which exists exactly when
+c-bar is a square; only primes where c-bar is a nonzero square are taken.
+Then u + v*l -> u-bar + s * v-bar is a ring map on the elements with
 denominators prime to p, whether K[l] is a field or K x K.  As p is odd and
 c-bar is nonzero, X^2 - c-bar is separable mod p, so O_P[l] is etale over
 the local ring O_P: the kernel of the map is a prime Q of K[l] of residue
@@ -32,47 +32,47 @@ def _is_prime(n):
 
 
 class Reduction:
-    """The ring map Q(zeta_N)[l] -> F_p at the prime above p given by zeta -> root.
+    """The ring map from a context's field Q(zeta_N)[l] to F_p at the prime above p.
 
-    The root is r = g^((p-1)/N) mod p for the least base g that makes r a
-    primitive N-th root of unity.  With ``lambda_sq`` (a nonzero element c
-    of Q(zeta_N)) the map is on K[l], l^2 = c, and sends l to ``sqrt``, the
-    smaller square root of c-bar; a prime at which c-bar is zero, not a
-    square or undefined raises ValueError.
+    The map sends zeta to the root r = g^((p-1)/N) mod p for the least base
+    g that makes r a primitive N-th root of unity.  In K[l], l^2 = c, it
+    sends l to ``sqrt``, the smaller square root of c-bar; a prime at which
+    c-bar is zero, not a square or undefined raises ValueError.
     """
 
-    __slots__ = ("p", "root", "sqrt", "signature", "_powers")
+    __slots__ = ("context", "p", "root", "sqrt", "_powers")
 
-    def __init__(self, conductor, p, lambda_sq=None):
+    def __init__(self, context, p):
+        conductor = context.conductor
         if p <= 3 or not _is_prime(p) or (p - 1) % conductor:
             raise ValueError("need a prime p > 3 with p = 1 (mod %d)" % conductor)
+        self.context = context
         self.p = p
         self.root = _primitive_root_of_unity(conductor, p)
         self._powers = [pow(self.root, i, p) for i in range(conductor)]
         self.sqrt = None
-        self.signature = (conductor, None)
-        if lambda_sq is not None:
-            c = self.element(lambda_sq) if lambda_sq.den % p else 0
-            self.sqrt = _sqrt_mod(c, p)
+        c = context.lambda_sq
+        if c is not None:
+            self.sqrt = _sqrt_mod(self._base(c) if c.den % p else 0, p)
             if self.sqrt is None:
                 raise ValueError("lambda_sq is not a nonzero square mod the prime above %d" % p)
-            self.signature = (conductor, (lambda_sq.nums, lambda_sq.den))
 
-    def element(self, e):
-        """The residue of an element of this field with denominator prime to p."""
-        if e.context.signature != self.signature:
-            raise ValueError("the element is not in the field of this reduction")
+    def _base(self, e):
+        """The residue of an element of K = Q(zeta_N)."""
         p = self.p
         if e.den % p == 0:
             raise ZeroDivisionError("denominator divisible by %d" % p)
-        powers = self._powers
-        if self.sqrt is None:
-            acc = sum(c * r for c, r in zip(e.nums, powers))
-        else:
-            m = e.context.degree
-            acc = sum(c * r for c, r in zip(e.nums[:m], powers))
-            acc += self.sqrt * sum(c * r for c, r in zip(e.nums[m:], powers))
+        acc = sum(c * r for c, r in zip(e.nums, self._powers))
         return acc * pow(e.den, -1, p) % p
+
+    def element(self, e):
+        """The residue of an element of this field with denominator prime to p."""
+        if not self.context.compatible(e.context):
+            raise ValueError("the element is not in the field of this reduction")
+        if self.sqrt is None:
+            return self._base(e)
+        u, v = e.parts()
+        return (self._base(u) + self.sqrt * self._base(v)) % self.p
 
 
 def _primitive_root_of_unity(n, p):
@@ -112,22 +112,22 @@ def _sqrt_mod(a, p):
     return min(r, p - r)
 
 
-def split_reductions(conductor, dens, above=3, lambda_sq=None):
-    """The reductions at the primes p > above, p = 1 (mod N), prime to dens.
+def split_reductions(context, dens, above=3):
+    """The reductions of a context's field at the primes p > above, p = 1 (mod N).
 
-    In increasing order of p; every element whose denominator divides a
-    product of dens is P-integral at each of them.  With ``lambda_sq`` only
-    the primes where it reduces to a nonzero square are listed, each with
-    the Reduction of K[l].
+    In increasing order of p, prime to dens; every element whose denominator
+    divides a product of dens is P-integral at each of them.  In K[l] only
+    the primes where lambda_sq reduces to a nonzero square are listed.
     """
-    if lambda_sq is not None:
-        dens = [*dens, lambda_sq.den]
+    conductor = context.conductor
+    if context.lambda_sq is not None:
+        dens = [*dens, context.lambda_sq.den]
     p = above - (above - 1) % conductor  # the largest p <= above with p = 1 (mod N)
     while True:
         p += conductor
         if _is_prime(p) and all(d % p for d in dens):
-            red = Reduction(conductor, p)
-            if lambda_sq is None:
-                yield red
-            elif _sqrt_mod(red.element(lambda_sq), p) is not None:
-                yield Reduction(conductor, p, lambda_sq)
+            try:
+                red = Reduction(context, p)
+            except ValueError:  # lambda_sq is no nonzero square mod P
+                continue
+            yield red

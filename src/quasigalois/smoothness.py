@@ -31,8 +31,9 @@ over K is full and F is smooth.  A short rank mod P proves nothing, since
 it may come from a singular point of F or from a prime of bad reduction
 (X^4 + Y^4 + p Z^4 is smooth but singular mod p), so the exact rank over K
 decides.  Both ranks run through the same elimination, which takes its field
-from the caller.  A quadratic extension K[l] has no reduction map here and
-goes straight to the exact rank.
+from the caller.  A form over K[l] goes straight to the exact rank: a
+reduction sends l to one square root of c, so if c is a square in K, and
+K[l] is K x K, a full rank mod P proves only one factor's curve smooth.
 
 References: F. S. Macaulay, The Algebraic Theory of Modular Systems (1916);
 D. Cox, J. Little and D. O'Shea, Using Algebraic Geometry, GTM 185, ch. 3.
@@ -96,14 +97,12 @@ def _full_rank_mod_p(form, target):
     """True when the Macaulay rows have full rank modulo P (see above).
 
     False means only that the modular rank proves nothing, including for a
-    quadratic-extension form, which is not reduced.
+    quadratic-extension form, which is not reduced (see above).
     """
     ctx = form.context
     if ctx.lambda_sq is not None:
         return False
-    red = next(
-        split_reductions(ctx.conductor, [c.den for c in form.terms.values()], _PRIME_FLOOR)
-    )
+    red = next(split_reductions(ctx, [c.den for c in form.terms.values()], _PRIME_FLOOR))
     p = red.p
     # A partial's denominators divide F's, so P reduces its coefficients too.
     partials = [

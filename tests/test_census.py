@@ -213,7 +213,7 @@ def test_moved_census_matches_the_closure_under_every_generator(evaluations):
         inst = ev.instance
         for _ in range(2):
             m = _unimodular(inst.context, rng)
-            inv = m.inverse()
+            inv = m.adjugate()
             form = inst.curve.form.pullback(m)
             seeds = [inv.apply_to_point(p) for p in inst.seeds]
             _assert_matches_reference(form, seeds, census(PlaneCurve(form), seeds))
@@ -259,7 +259,7 @@ def test_carried_records_equal_their_classification(evaluations):
         )
         for _ in range(2):
             m = _unimodular(inst.context, rng)
-            inv = m.inverse()
+            inv = m.adjugate()
             form = inst.curve.form.pullback(m)
             seeds = [inv.apply_to_point(p) for p in inst.seeds]
             records = orbit_expand(form, seeds)
@@ -509,7 +509,7 @@ def test_census_is_invariant_under_a_change_of_coordinates(evaluations):
         inst, report = ev.instance, ev.report
         for _ in range(2):
             m = _unimodular(inst.context, rng)
-            inv = m.inverse()
+            inv = m.adjugate()
             moved = PlaneCurve(inst.curve.form.pullback(m))
             moved_report = census(moved, [inv.apply_to_point(p) for p in inst.seeds])
             assert _tallies(moved_report) == _tallies(report), name

@@ -106,7 +106,7 @@ def test_matrix_inverse_and_composition():
     for _ in range(25):
         m = random_invertible(ctx, rng)
         n = random_invertible(ctx, rng)
-        assert m * m.inverse() == ident
+        assert m * m.adjugate() == ident
         p = random_point(ctx, rng)
         assert (m * n).apply_to_point(p) == m.apply_to_point(n.apply_to_point(p))
 
@@ -533,10 +533,9 @@ def test_sum_of_products_kernel_matches_the_elementwise_formulas():
                     ctx, _old_cross(line.coeffs, other.coeffs)
                 ).key()
             if kind != "general" or _old_det(r).is_zero():
-                with pytest.raises(ZeroDivisionError):
-                    m.inverse()
+                with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                    m.apply_to_line(line)
                 continue
-            assert _keys(m.inverse().rows) == _keys(_old_inverse(r))
             assert m.apply_to_line(line).key() == ProjLine(
                 ctx, _old_line_image(r, line.coeffs)
             ).key()
@@ -610,7 +609,7 @@ def test_proportional_to_matches_the_ratio_test():
 def test_proportional_to_edge_cases():
     ctx = FieldContext(24)
     z = ctx.zeta()
-    red = next(split_reductions(24, []))
+    red = next(split_reductions(ctx, []))
     f = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 2, (0, 4, 0): -3, (1, 1, 2): 5})
     moved = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 2, (0, 4, 0): -3, (1, 2, 1): 5})
     fewer = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 2, (0, 4, 0): -3})

@@ -25,7 +25,7 @@ def test_reduction_is_a_ring_map_sending_zeta_to_order_n():
     rng = random.Random(20261018)
     for conductor in CONDUCTORS:
         ctx = FieldContext(conductor)
-        red = next(split_reductions(conductor, []))
+        red = next(split_reductions(ctx, []))
         p = red.p
         r = red.element(ctx.zeta())
         assert r == red.root
@@ -40,10 +40,11 @@ def test_reduction_is_a_ring_map_sending_zeta_to_order_n():
 
 def test_prime_choice_is_least_and_deterministic():
     for conductor in CONDUCTORS:
-        red = next(split_reductions(conductor, []))
+        ctx = FieldContext(conductor)
+        red = next(split_reductions(ctx, []))
         assert red.p == LEAST_SPLIT_PRIME[conductor]
         assert (red.p - 1) % conductor == 0
-        again = next(split_reductions(conductor, [1, 2, 3, 4]))
+        again = next(split_reductions(ctx, [1, 2, 3, 4]))
         assert (again.p, again.root) == (red.p, red.root)
 
 
@@ -51,17 +52,17 @@ def test_prime_choice_skips_bad_denominators():
     ctx = FieldContext(28)
     dens = [ctx.from_rational(Fraction(1, 29)).den]
     # 29 is excluded; 57 and 85 are composite
-    assert [red.p for red in islice(split_reductions(28, dens), 2)] == [113, 197]
+    assert [red.p for red in islice(split_reductions(ctx, dens), 2)] == [113, 197]
 
 
 def test_reduction_rejects_bad_primes_and_denominators():
-    with pytest.raises(ValueError):
-        Reduction(4, 3)
-    with pytest.raises(ValueError):
-        Reduction(4, 7)  # 7 != 1 (mod 4)
     ctx = FieldContext(4)
+    with pytest.raises(ValueError):
+        Reduction(ctx, 3)
+    with pytest.raises(ValueError):
+        Reduction(ctx, 7)  # 7 != 1 (mod 4)
     with pytest.raises(ZeroDivisionError):
-        Reduction(4, 5).element(ctx.from_rational(Fraction(1, 5)))
+        Reduction(ctx, 5).element(ctx.from_rational(Fraction(1, 5)))
 
 
 def _sqrt2_times_2(base):
@@ -75,11 +76,11 @@ def test_reduction_of_a_quadratic_extension_is_a_ring_map():
     # a field (2*sqrt(2) is no square in Q(zeta_8)) and K x K (zeta^2 = i is)
     for lam, least in ((_sqrt2_times_2(base), 73), (base.zeta() ** 2, 17)):
         ctx = base.extend_sqrt(lam)
-        red = next(split_reductions(8, [], lambda_sq=lam))
+        red = next(split_reductions(ctx, []))
         p = red.p
         assert p == least
         assert red.element(ctx.sqrt_generator()) == red.sqrt
-        assert red.sqrt ** 2 % p == Reduction(8, p).element(lam)
+        assert red.sqrt ** 2 % p == Reduction(base, p).element(lam)
         assert red.element(ctx.embed(base.zeta())) == red.root
         for _ in range(20):
             a = random_element(ctx, rng)
@@ -87,7 +88,7 @@ def test_reduction_of_a_quadratic_extension_is_a_ring_map():
             assert red.element(a + b) == (red.element(a) + red.element(b)) % p
             assert red.element(a * b) == red.element(a) * red.element(b) % p
             u = random_element(base, rng)
-            assert red.element(ctx.embed(u)) == Reduction(8, p).element(u)
+            assert red.element(ctx.embed(u)) == Reduction(base, p).element(u)
 
 
 def test_reduction_of_a_quadratic_extension_rejects_bad_primes():
@@ -95,16 +96,16 @@ def test_reduction_of_a_quadratic_extension_rejects_bad_primes():
     lam = _sqrt2_times_2(base)
     for p in (17, 41):  # 2*sqrt(2) is no square mod the prime above p
         with pytest.raises(ValueError, match="not a nonzero square"):
-            Reduction(8, p, lambda_sq=lam)
+            Reduction(base.extend_sqrt(lam), p)
     with pytest.raises(ValueError, match="not a nonzero square"):
-        Reduction(8, 17, lambda_sq=base.from_rational(Fraction(1, 17)))
+        Reduction(base.extend_sqrt(base.from_rational(Fraction(1, 17))), 17)
     with pytest.raises(ValueError, match="not a nonzero square"):
-        Reduction(8, 17, lambda_sq=base.from_int(17))
+        Reduction(base.extend_sqrt(base.from_int(17)), 17)
     # an element of another field is refused, not misread
     kl = base.extend_sqrt(lam)
     with pytest.raises(ValueError, match="not in the field"):
-        Reduction(8, 17).element(kl.one())
+        Reduction(base, 17).element(kl.one())
     with pytest.raises(ValueError, match="not in the field"):
-        Reduction(8, 73, lambda_sq=lam).element(base.one())
+        Reduction(kl, 73).element(base.one())
     with pytest.raises(ValueError, match="not in the field"):
-        Reduction(8, 17).element(FieldContext(4).one())
+        Reduction(base, 17).element(FieldContext(4).one())

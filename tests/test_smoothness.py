@@ -16,11 +16,14 @@ from quasigalois import (
 from quasigalois import catalog
 from quasigalois.cyclotomic import FieldElement, _conjugate
 from quasigalois.modular import Reduction, split_reductions
+from quasigalois.errors import ZeroDivisorEncountered
 from quasigalois.smoothness import (
     _PRIME_FLOOR,
+    _full_rank,
     _full_rank_exact,
     _full_rank_mod_p,
     _monomials,
+    _rows,
 )
 
 
@@ -221,10 +224,34 @@ def test_modular_certificate_is_never_full_where_the_exact_rank_is_short():
 def test_bad_reduction_falls_back_to_the_exact_rank():
     # X^4 + Y^4 + p Z^4 is smooth over Q(i) but singular at (0 : 0 : 1) mod p
     ctx = FieldContext(4)
-    p = next(split_reductions(4, [], _PRIME_FLOOR)).p
+    p = next(split_reductions(ctx, [], _PRIME_FLOOR)).p
     form = HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): p})
     assert not _full_rank_mod_p(form, _target(form))
     assert is_smooth(form)
+
+
+def test_a_modular_verdict_at_one_root_would_be_unsound_over_k_times_k():
+    # Q(i)[l], l^2 = 4, is K x K; F is X^4 + Y^4 + Z^4 at l = 2 and the
+    # singular X^4 + Y^4 at l = -2
+    base = FieldContext(4)
+    ctx = base.extend_sqrt(base.from_int(4))
+    coeff = (ctx.sqrt_generator() + 2) * Fraction(1, 4)
+    one = ctx.one()
+    form = HomoPoly(ctx, 4, {(4, 0, 0): one, (0, 4, 0): one, (0, 0, 4): coeff})
+    with pytest.raises(ZeroDivisorEncountered):
+        is_smooth(form)
+    # the reduction sends l to 2 and F to the smooth Fermat quartic mod p, so
+    # a certificate at that root would call F smooth
+    red = next(split_reductions(ctx, [c.den for c in form.terms.values()], _PRIME_FLOOR))
+    p = red.p
+    assert (p, red.sqrt, red.element(coeff)) == (65537, 2, 1)
+    partials = [
+        {e: r for e, c in form.partial(v).terms.items() if (r := red.element(c))}
+        for v in range(3)
+    ]
+    target = _target(form)
+    assert _full_rank(_rows(partials, 4), target, lambda x: pow(x, -1, p), lambda x: x % p)
+    assert not _full_rank_mod_p(form, target)
 
 
 def _count_inversions(monkeypatch):

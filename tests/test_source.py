@@ -120,3 +120,17 @@ def test_every_package_error_has_a_raise_site():
     }
     raised = set().union(*(_raised_names(path) for path in _sources()))
     assert sorted(declared - raised) == []
+
+
+def test_only_cyclotomic_knows_how_a_field_is_stored():
+    # a context's signature and the unit test of K[l] have one owner, so a
+    # reduction or a proportionality test cannot drift from the arithmetic
+    readers, definers = [], []
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "signature":
+                readers.append(path.name)
+            elif isinstance(node, ast.FunctionDef) and node.name == "_require_unit":
+                definers.append(path.name)
+    assert set(readers) == {"cyclotomic.py"}
+    assert definers == []
