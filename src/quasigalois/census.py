@@ -16,6 +16,25 @@ and delta_prime[n] (points off the curve), and a certification status:
   theorems allow, but does not attain the bound (seeds are then trusted to
   have reached the whole orbit);
 - "bound_gap" otherwise.
+
+The pair geometry rests on a lemma, so the census tests each pair once and
+evaluates no third point.  Let r1, r2 be quasi-Galois records of one smooth
+curve C with centers P1 != P2, axes A1, A2 and generators s1, s2 of the full
+groups G[P1], G[P2].
+
+(a) P2 on A1 iff P1 on A2.  If P2 is on A1, s1 fixes P2, so s1 G[P2] s1^-1
+    = G[P2] and s1 s2 s1^-1 is a homology of C at P2 with the ratio of s2.  The ratio
+    tells the elements of the cyclic group G[P2] apart, so s1 s2 s1^-1 = s2.
+    The two maps commute, so s2 fixes the center P1 of s1, and P1 is on A2.
+(b) A1 != A2, as P1 is on A2 but not on A1.  Their meet T is not P1, and
+    P1, P2, T are not collinear: the line through P1 and T is A2, which
+    misses P2.
+(c) If P1 and P2 are both outer, T is off C.  In the basis (P1, P2, T),
+    s1 = diag(z1, 1, 1) and s2 = diag(1, z2, 1) with orders n1, n2 >= 2, so
+    every X-exponent of F is congruent to d mod n1 and every Y-exponent to d
+    mod n2.  An outer order divides d, so both classes are 0.  If F(T) = 0,
+    then F(x, y, 1) has no constant and no linear term, and T is a singular
+    point of C.
 """
 
 from __future__ import annotations
@@ -76,18 +95,15 @@ def _carry(rec, g, q):
 def is_mutual_pair(rec1, rec2):
     """Do the generators at two quasi-Galois points fix each other's center?
 
-    Each must lie on the other's axis, a relation symmetric for homologies
-    preserving one smooth curve (asserted).  Raises SamePoint on equal points.
+    Both records must come from the classification of one curve: then the
+    second point lies on the first axis exactly when the first lies on the
+    second, by (a) of the module's lemma.  Raises SamePoint on equal points.
     """
     if rec1.point == rec2.point:
         raise SamePoint("a pair needs two distinct points")
     if not (rec1.is_quasi_galois and rec2.is_quasi_galois):
         return False
-    f12 = rec1.generator.axis.contains(rec2.point)
-    f21 = rec2.generator.axis.contains(rec1.point)
-    if f12 != f21:
-        raise InvariantViolation("mutual fixing must be symmetric")
-    return f12
+    return rec1.generator.axis.contains(rec2.point)
 
 
 class PairInfo:
@@ -116,8 +132,8 @@ class PairInfo:
 def make_pair(rec1, rec2):
     """Build the PairInfo of a mutual pair; raises NotAGPair otherwise.
 
-    The axes of the two generators are distinct (their centers are off their
-    own axes), and the third point is the axes' intersection.
+    The axes of the two generators are distinct, by (b) of the module's
+    lemma, and the third point is the axes' intersection.
     """
     if not is_mutual_pair(rec1, rec2):
         raise NotAGPair("the generators do not fix each other's center")
@@ -126,10 +142,7 @@ def make_pair(rec1, rec2):
 
 def _pair_info(rec1, rec2):
     """The PairInfo of two records already known to form a mutual pair."""
-    a1, a2 = rec1.generator.axis, rec2.generator.axis
-    if a1 == a2:
-        raise InvariantViolation("the axes of a mutual pair are distinct")
-    third = a1.meet(a2)
+    third = rec1.generator.axis.meet(rec2.generator.axis)
     return PairInfo(rec1, rec2, gcd(rec1.order, rec2.order), third)
 
 
@@ -173,8 +186,6 @@ def normalize_pair(form, rec1, rec2):
     """
     pair = make_pair(rec1, rec2)
     base_change = ProjMatrix.from_columns(rec1.point, rec2.point, pair.third)
-    if base_change.det().is_zero():
-        raise NotAGPair("degenerate pair geometry")
     normalized = form.pullback(base_change)
     for var, order in ((0, rec1.order), (1, rec2.order)):
         residues = {e[var] % order for e in normalized.terms}
@@ -296,26 +307,12 @@ def census(curve, seeds, cap=10000):
     """Full census of a smooth plane curve (a PlaneCurve) from seed points.
 
     Classifies the seeds and carries their records along the orbit closure,
-    builds the pair graph and triangles, checks that the three common fixed
-    points of an outer mutual pair avoid the curve, and certifies the tallies.
+    builds the pair graph and triangles, and certifies the tallies.  The
+    third point of an outer mutual pair lies off the curve by (c) of the
+    module's lemma, so it is not evaluated.
     """
     form = curve.form
     records = orbit_expand(form, seeds, cap=cap)
     pairs = build_pair_graph(records)
-    _assert_pair_fixed_loci_off_curve(form, pairs)
     triples = find_triples(pairs)
     return CensusReport(form.degree, records, pairs, triples)
-
-
-def _assert_pair_fixed_loci_off_curve(form, pairs):
-    # the common fixed locus of the two generators is {P1, P2, third}; P1 and
-    # P2 are outer points, so only each distinct third point is evaluated
-    thirds = {
-        pair.third
-        for pair in pairs
-        if not (pair.rec1.on_curve or pair.rec2.on_curve)
-    }
-    if any(form.vanishes_at(p) for p in thirds):
-        raise InvariantViolation(
-            "for an outer mutual pair the common fixed points avoid the curve"
-        )

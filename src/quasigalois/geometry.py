@@ -443,6 +443,9 @@ class HomoPoly:
         return self + (-other)
 
     def scale(self, s):
+        """The form times a field element, an int or a Fraction."""
+        if not isinstance(s, FieldElement):
+            s = self.context.from_rational(s)
         if s.is_zero():
             return HomoPoly.zero(self.context, self.degree)
         return HomoPoly(
@@ -451,11 +454,7 @@ class HomoPoly:
 
     def __mul__(self, other):
         if not isinstance(other, HomoPoly):
-            return self.scale(
-                other
-                if isinstance(other, FieldElement)
-                else self.context.from_rational(other)
-            )
+            return self.scale(other)
         zero = self.context.zero()
         out = {}
         for e1, c1 in self.terms.items():

@@ -110,15 +110,6 @@ class NumericCurve:
         self.exps = exps
         self.coeffs = coeffs / top
 
-    @classmethod
-    def from_form(cls, form):
-        items = sorted(form.terms.items())
-        return cls(
-            form.degree,
-            [e for e, _ in items],
-            [embed_element(c) for _, c in items],
-        )
-
     def evaluate_many(self, points):
         """Evaluate at an (k, 3) array of complex points; returns shape (k,)."""
         return _monomials(np.asarray(points, dtype=complex), self.exps) @ self.coeffs
@@ -130,7 +121,10 @@ class NumericCurve:
 def numeric_curve(curve_or_form):
     """NumericCurve from a PlaneCurve or a homogeneous form."""
     form = curve_or_form.form if hasattr(curve_or_form, "form") else curve_or_form
-    return NumericCurve.from_form(form)
+    items = sorted(form.terms.items())
+    return NumericCurve(
+        form.degree, [e for e, _ in items], [embed_element(c) for _, c in items]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,10 @@ def test_pair_graph_tests_each_pair_once(monkeypatch):
     monkeypatch.setattr(ProjLine, "contains", _counting(contained, ProjLine.contains))
     pairs = build_pair_graph(records)
     assert len(records) == 15 and len(pairs) == 21
-    # is_mutual_pair evaluates two axes per pair and applies no matrix, and
+    # is_mutual_pair evaluates one axis per pair and applies no matrix, and
     # no pair is tested twice
     assert applied == []
-    assert len(contained) == 2 * (15 * 14 // 2)
+    assert len(contained) == 15 * 14 // 2
 
 
 def _reference_orbit_expand(form, seeds):
@@ -198,6 +198,14 @@ def _assert_matches_reference(form, seeds, report):
             assert rec.generator.axis == ref.generator.axis, p
     got = {frozenset(pair.points()) for pair in report.pairs}
     assert got == _reference_pairs(expected)
+    # the pair lemma of the census module: distinct axes, a triangle of fixed
+    # points, and an outer pair's third point off the curve
+    for pair in report.pairs:
+        r1, r2 = pair.rec1, pair.rec2
+        assert r1.generator.axis != r2.generator.axis
+        assert not ProjMatrix.from_columns(r1.point, r2.point, pair.third).det().is_zero()
+        if not (r1.on_curve or r2.on_curve):
+            assert not form.vanishes_at(pair.third)
 
 
 def test_census_matches_the_closure_under_every_generator(evaluations):
@@ -283,6 +291,17 @@ def test_carried_inner_records_keep_their_tangency():
         ProjPoint(ctx, [one, zero, z2]): (3, 4),
         ProjPoint(ctx, [one, zero, one - z2]): (3, 4),
     }
+
+
+def test_inner_outer_pairs_match_the_closure_under_every_generator():
+    # the curve and seeds of the test above, the one curve here whose pairs
+    # join inner and outer points
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (-1, 0, 1), (1, 1, 0))
+    report = census(PlaneCurve(form), seeds)
+    assert any(p.rec1.on_curve != p.rec2.on_curve for p in report.pairs)
+    _assert_matches_reference(form, seeds, report)
 
 
 def test_carried_records_over_a_quadratic_extension():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quasigalois
-from quasigalois import FieldContext, catalog, curve_to_json
+from quasigalois import FieldContext, OracleCensus, catalog, curve_to_json
 from quasigalois import cli, serialize
 from quasigalois.cli import main
 
@@ -510,3 +510,21 @@ def test_verify_paper_with_the_oracle_agrees_on_its_cheapest_case(capsys):
     assert case["oracle"], "the oracle ran no order"
     assert all(o["agrees"] for o in case["oracle"])
     assert case["warnings"] == []
+
+
+def test_verify_paper_strict_fails_on_an_oracle_mismatch(monkeypatch, capsys):
+    # an oracle that disagrees with the exact count is a warning, and a
+    # failure under --strict
+    def wrong_count(curve, n, starts, seed):
+        return OracleCensus(99, [], {"convergence_rate": 1.0})
+
+    monkeypatch.setattr(cli, "numeric_census", wrong_count)
+    argv = ["verify-paper", "--case", "quartic_5family", "--format", "json", "--seed", "0"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["passed"], payload["strict"]) == (True, False)
+    (case,) = payload["cases"]
+    assert "oracle: order 2 numeric count 99 != exact 5" in case["warnings"]
+    assert main(argv + ["--strict"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["passed"], payload["strict"]) == (False, True)

@@ -185,6 +185,15 @@ def test_euler_relation_randomized():
         assert total == f.scale(ctx.from_int(d))
 
 
+def test_scale_takes_ints_and_fractions_as_multiplication_does():
+    rng = random.Random(89)
+    ctx = FieldContext(8)
+    f = random_form(ctx, rng, 4)
+    assert f.scale(2) == f * 2 == 2 * f
+    assert f.scale(Fraction(1, 2)) == f * Fraction(1, 2)
+    assert f.scale(0).is_zero()
+
+
 def test_gradient_at_matches_partials():
     rng = random.Random(79)
     ctx = FieldContext(8)

@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 from quasigalois import FieldContext
-from quasigalois.modular import Reduction, split_reductions
+from quasigalois.modular import Reduction, _is_prime, _sqrt_mod, split_reductions
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
 
@@ -109,3 +109,27 @@ def test_reduction_of_a_quadratic_extension_rejects_bad_primes():
         Reduction(kl, 73).element(base.one())
     with pytest.raises(ValueError, match="not in the field"):
         Reduction(base, 17).element(FieldContext(4).one())
+
+
+def _check_sqrt(a, p, squares):
+    r = _sqrt_mod(a, p)
+    if a % p not in squares:  # squares of units: 0 is not in it
+        assert r is None, (a, p)
+    else:
+        assert r * r % p == a % p and r <= p - r, (a, p)
+
+
+def test_sqrt_mod_against_the_table_of_squares():
+    for p in filter(_is_prime, range(5, 300)):
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(p):
+            _check_sqrt(a, p, squares)
+
+
+def test_sqrt_mod_at_primes_with_a_long_halving_loop():
+    # p - 1 has 2-adic valuation 9, 12 and 16
+    rng = random.Random(65537)
+    for p in (7681, 12289, 65537):
+        squares = {x * x % p for x in range(1, p)}
+        for _ in range(300):
+            _check_sqrt(rng.randrange(p), p, squares)
