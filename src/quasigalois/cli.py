@@ -297,7 +297,10 @@ def _cmd_oracle_census(args):
         for center in result.centers:
             print(
                 "  ("
-                + " : ".join("%.6f%+.6fj" % (c.real, c.imag) for c in center)
+                + " : ".join(
+                    "%.6f%+.6fj" % (round(c.real, 6) + 0.0, round(c.imag, 6) + 0.0)
+                    for c in center
+                )
                 + ")"
             )
     return 0

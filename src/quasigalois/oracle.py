@@ -16,7 +16,9 @@ Each start is solved by MINPACK's lmder, called with the arguments that
 callbacks at the start and its covariance estimate, which nothing here
 reads.  One evaluation reads F and its three partials at the homology images
 of the samples from one gather of a power table, and keeps the gradient for
-the last point, where lmder next asks for the Jacobian.
+the last point, where lmder next asks for the Jacobian.  lmder's module,
+``scipy.optimize._minpack``, is imported by the first start, not with this
+module, so the exact commands never load scipy.
 
 A start stops at the first evaluation whose residual norm is below
 s = min(tol, 1e-3 * _CLUSTER_TOL), and its center is read at that point.  The
@@ -48,7 +50,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.optimize._minpack import _lmder
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,13 @@ class _Search:
         out[k:, :4] = jac.imag
         out[k:, 4:] = jac.real
         return out
+
+
+def _lmder(*args):
+    """MINPACK's lmder; scipy.optimize is imported by the first start, not with the package."""
+    from scipy.optimize._minpack import _lmder as lmder
+
+    return lmder(*args)
 
 
 # The arguments after x0 that leastsq(residual, x0, Dfun=jacobian,

@@ -460,8 +460,13 @@ def test_certification_levels():
 
 
 def test_inner_points_are_tallied_separately():
-    # delta counts points on the curve; the catalog entries have none,
-    # but an explicitly constructed inner point shows up in delta.
+    # delta counts points on the curve, delta_prime points off it.  On
+    # X^3 Z + Y^4 + Z^4 the seed (1:0:0) lies on the curve, and X -> zeta_3 X
+    # fixes the form, so it is an inner point of order 3 = d - 1.  That
+    # homology is the census's only generator, and it fixes its own center,
+    # so the orbit is the seed alone: one record, no pairs, no triples.
+    # delta is keyed by the divisors of d - 1 = 3, delta_prime by those of
+    # d = 4, and no outer point was found.
     ctx = FieldContext(12)
     form = HomoPoly.from_int_terms(
         ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1}
@@ -469,11 +474,11 @@ def test_inner_points_are_tallied_separately():
     curve = PlaneCurve(form)
     p = ProjPoint.from_ints(ctx, (1, 0, 0))
     report = census(curve, [p])
-    assert report.records[p].kind == "inner"
-    assert report.delta.get(3, 0) >= 1
-    assert report.delta_prime.get(3, 0) == 0 or p not in {
-        r.point for r in report.records.values() if r.kind == "outer"
-    }
+    assert list(report.records) == [p]
+    assert (report.records[p].kind, report.records[p].order) == ("inner", 3)
+    assert report.delta == {3: 1}
+    assert report.delta_prime == {2: 0, 4: 0}
+    assert (report.pairs, report.triples) == ([], [])
 
 
 def _tallies(report):

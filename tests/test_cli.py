@@ -273,6 +273,16 @@ def test_oracle_census_command(fermat_file, capsys):
     assert len(data["centers"]) == 3
 
 
+def test_oracle_census_text_prints_no_negative_zero(fermat_file, capsys):
+    argv = ["oracle-census", "--curve", fermat_file, "--order", "4", "--starts", "30"]
+    assert main(argv + ["--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.000000" not in out
+    assert out.startswith("count 3 (order 4;")
+    centers = [line for line in out.splitlines() if line.startswith("  (")]
+    assert len(centers) == 3
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -499,6 +509,35 @@ def test_verify_paper_json_digest_is_unchanged_under_python_O():
         hashlib.sha256(run.stdout).hexdigest()
         == "c0f017e6cf49d97d3de1c2ccfd62f5dee8cb9acb1fc16fabc66f8609a013837e"
     )
+
+
+def _modules_after_main(argv):
+    """The sorted ``sys.modules`` names after ``main(argv)`` in a fresh interpreter."""
+    src = str(Path(quasigalois.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from quasigalois.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(%r)\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n" % argv
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr.decode()
+    status, modules = json.loads(run.stdout)
+    assert status == 0
+    return modules
+
+
+def test_exact_commands_never_import_scipy(fermat_file):
+    # scipy is imported by the oracle's first start, not with the package
+    argv = ["verify-paper", "--no-oracle", "--case", "fermat_quartic", "--format", "json"]
+    modules = _modules_after_main(argv + ["--seed", "0"])
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    # positive control: two oracle starts do load lmder's module
+    argv = ["oracle-census", "--curve", fermat_file, "--order", "4", "--starts", "2"]
+    assert "scipy.optimize._minpack" in _modules_after_main(argv)
 
 
 def test_verify_paper_with_the_oracle_agrees_on_its_cheapest_case(capsys):
