@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import ClosureCapExceeded, InvariantViolation, NotAGPair, SamePoint
+from .errors import ClosureCapExceeded, NotAGPair, SamePoint
 from .geometry import ProjMatrix
 from .homology import Homology, PointRecord, classify_point, homology_matrix
 
@@ -179,25 +179,15 @@ def find_triples(pairs):
 def normalize_pair(form, rec1, rec2):
     """Move a mutual pair to (1:0:0), (0:1:0) with the third point at (0:0:1).
 
-    Returns (base_change, normalized_form, n).  The support of the normalized
-    form satisfies one congruence class of X-exponents mod order1 and one of
-    Y-exponents mod order2, which is asserted; for a pair of outer points the
-    classes are 0, so the affine model is a polynomial in x^n and y^n.
+    Returns (base_change, normalized_form, n).  By (c) of the module's lemma
+    the support of the normalized form uses one congruence class of
+    X-exponents mod order1 and one of Y-exponents mod order2, and for a pair
+    of outer points both classes are 0, so the affine model is a polynomial
+    in x^n and y^n.
     """
     pair = make_pair(rec1, rec2)
     base_change = ProjMatrix.from_columns(rec1.point, rec2.point, pair.third)
-    normalized = form.pullback(base_change)
-    for var, order in ((0, rec1.order), (1, rec2.order)):
-        residues = {e[var] % order for e in normalized.terms}
-        if len(residues) > 1:
-            raise InvariantViolation(
-                "normalized pair form must use one exponent class per axis variable"
-            )
-        if not rec1.on_curve and not rec2.on_curve and not residues <= {0}:
-            raise InvariantViolation(
-                "outer pair: exponents are multiples of each point's order"
-            )
-    return base_change, normalized, pair.n
+    return base_change, form.pullback(base_change), pair.n
 
 
 def _pair_support(n):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import catalog
@@ -265,14 +264,10 @@ def _cmd_oracle_census(args):
         raise SchemaError("--starts", "must be an integer from 0 to %d" % _MAX_STARTS)
     if args.order < 2:
         raise SchemaError("--order", "must be an integer >= 2")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise SchemaError("--tol", "must be a positive finite number")
     curve = _load_curve(args)
     if args.order > curve.degree:
         raise SchemaError("--order", "must be at most the degree %d" % curve.degree)
-    result = numeric_census(
-        curve, args.order, starts=args.starts, tol=args.tol, seed=args.seed
-    )
+    result = numeric_census(curve, args.order, starts=args.starts, seed=args.seed)
     payload = {
         "count": result.count,
         "centers": [
@@ -550,9 +545,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument(
         "--starts", type=int, default=20000, help="number of random starts"
-    )
-    p.add_argument(
-        "--tol", type=float, default=1e-9, help="residual acceptance tolerance"
     )
     _add_format(p)
     p.set_defaults(func=_cmd_oracle_census)

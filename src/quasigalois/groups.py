@@ -142,11 +142,11 @@ def group_closure(generators, cap=1000, curve=None):
     generator form the group H that the earlier ones generate.  From then on
     the elements found are a union of right cosets H*r, one per
     representative r, so an x = r*t outside the union starts a coset H*x
-    disjoint from it; an element found twice raises InvariantViolation.  The
-    stage ends when r*t lies in the union for every representative r and used
-    generator t.  As (H*r)*t = H*(r*t), the union then contains 1 and is
-    closed under right multiplication by each used generator, so it holds
-    every product of them, and nothing else.  A finite set of invertible
+    disjoint from it, and its elements are filed with no membership test: no
+    element is found twice.  The stage ends when r*t lies in the union for
+    every representative r and used generator t.  As (H*r)*t = H*(r*t), the
+    union then contains 1 and is closed under right multiplication by each
+    used generator, so it holds every product of them, and nothing else.  A finite set of invertible
     matrices closed under products is a group (g^a = g^b gives
     g^-1 = g^(b-a-1)), so it is the group they generate; an infinite group
     runs past ``cap``.
@@ -182,10 +182,7 @@ def group_closure(generators, cap=1000, curve=None):
                 reps.append((x, xr))
                 for h, hr in subgroup:
                     y, yr = (x, xr) if h is identity else (h * x, _mul3(hr, xr, p))
-                    key, flat = _residue_key(yr, p), y.entries()
-                    if _holds(index, key, flat):
-                        raise InvariantViolation("right cosets of a subgroup must be disjoint")
-                    index.setdefault(key, []).append(flat)
+                    index.setdefault(_residue_key(yr, p), []).append(y.entries())
                     elements.append(y)
                     residues.append(yr)
     return elements

@@ -20,25 +20,25 @@ the last point, where lmder next asks for the Jacobian.  lmder's module,
 ``scipy.optimize._minpack``, is imported by the first start, not with this
 module, so the exact commands never load scipy.
 
-A start stops at the first evaluation whose residual norm is below
-s = min(tol, 1e-3 * _CLUSTER_TOL), and its center is read at that point.  The
-converged set is that of lmder's full run.  lmder accepts a trial step when
-ratio = actred / prered >= 1e-4 (Moré 1978), where actred = 1 - |f_trial|^2 /
-|f|^2 and prered = 1 - |f + J p|^2 / |f|^2 <= 1 for the Levenberg-Marquardt
-step p.  Accepted norms never increase, and lmder returns the last accepted
-point.  So a start that never evaluates below s is lmder's full run.  A
-trial below s has actred >= 1e-4, and is accepted, whenever the current norm
-is at least 1.00005 s; the full run then ends below s <= tol.  Only a current
-norm in [s, 1.00005 s) lets such a trial be rejected, and the full run may
-then end in that window, above tol when s = tol.  A stopped center lies
-within about 1e-9 of the polished one, far inside ``_CLUSTER_TOL``, and
-polishing converged starts from 1e-9 down to 1e-15 would cost about a fifth
-of all residual evaluations.
+A start converges when its residual norm falls below tol = ``_RESIDUAL_TOL``.
+It stops at the first evaluation below tol, and its center is read at that
+point.  The converged set is that of lmder's full run.  lmder accepts a trial
+step when ratio = actred / prered >= 1e-4 (Moré 1978), where actred = 1 -
+|f_trial|^2 / |f|^2 and prered = 1 - |f + J p|^2 / |f|^2 <= 1 for the
+Levenberg-Marquardt step p.  Accepted norms never increase, and lmder returns
+the last accepted point.  So a start that never evaluates below tol is
+lmder's full run.  A trial below tol has actred >= 1e-4, and is accepted,
+whenever the current norm is at least 1.00005 tol; the full run then ends
+below tol.  Only a current norm in [tol, 1.00005 tol) lets such a trial be
+rejected, and the full run may then end in that window, above tol.  A
+stopped center lies within about 1e-9 of the polished one, far inside
+``_CLUSTER_TOL``, and polishing converged starts from 1e-9 down to 1e-15
+would cost about a fifth of all residual evaluations.
 
 Determinism: all randomness flows from one integer seed; the starts are
 pre-generated up front and the results merged in a canonical order.  lmder
 itself is not bit-reproducible: its iterates depend on the memory alignment
-of its Jacobian buffer, so a start that ends within a few times ``tol`` can
+of its Jacobian buffer, so a start that ends within a few times tol can
 converge in one process and not in another, moving
 ``diagnostics["converged"]`` by a start or two.
 """
@@ -46,7 +46,6 @@ converge in one process and not in another, moving
 from __future__ import annotations
 
 import cmath
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -188,9 +187,9 @@ class _Search:
     The evaluation rounds exactly as forming M = I + (zeta - 1) center
     axis^T / (axis . center), y = samples M^T, and evaluating F and each
     partial as its own NumericCurve; a differently rounded one moves the
-    starts that end near ``tol``.  The power table stays ``**`` and the 3x3
-    algebra stays in numpy: npy_cpow and Python complex arithmetic round
-    differently from numpy's array multiply.
+    starts that end near ``_RESIDUAL_TOL``.  The power table stays ``**``
+    and the 3x3 algebra stays in numpy: npy_cpow and Python complex
+    arithmetic round differently from numpy's array multiply.
 
     A non-degenerate residual of norm below ``stop`` raises ``_Converged``
     (``stop=0`` never does).
@@ -312,13 +311,19 @@ _LMDER_ARGS = ((), 1, 0, 1e-15, 1e-15, 1e-15, 200, 100, None)
 # this Fubini-Study distance of it.
 _CLUSTER_TOL = 1e-6
 
+# A start converges when its residual norm falls below this, 1e-3 * _CLUSTER_TOL.
+_RESIDUAL_TOL = 1e-9
 
-def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0):
+
+def numeric_census(curve, n, starts=20000, seed=0):
     """Count the distinct homology centers whose order is a multiple of n.
 
     Minimizes the proportionality residual of F(M(P, axis) x) against F(x)
-    over random starts, with a fixed primitive n-th root of unity; converged
-    centers are clustered in the Fubini-Study metric at ``_CLUSTER_TOL``.
+    over random starts, with a fixed primitive n-th root of unity; a start
+    converges when its residual norm falls below ``_RESIDUAL_TOL``, and
+    converged centers are clustered in the Fubini-Study metric at
+    ``_CLUSTER_TOL``.  Both tolerances are constants, which ``diagnostics``
+    reports as ``residual_tol`` and ``cluster_tol``.
     Returns the cluster count, canonical center representatives, and
     diagnostics.  Heuristic by construction; agreement with the exact census
     is evidence, not proof.
@@ -326,15 +331,13 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0):
     """
     if n < 2:
         raise ValueError("the homology order must be at least 2")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tolerance must be positive and finite")
     if starts < 0:
         raise ValueError("the number of starts must be nonnegative")
     num = curve if isinstance(curve, NumericCurve) else numeric_curve(curve)
     if n > num.degree:
         # a homology order divides d or d - 1 on a smooth curve of degree d
         raise ValueError("the homology order must be at most the degree")
-    search = _Search(num, n, seed, starts, stop=min(tol, 1e-3 * _CLUSTER_TOL))
+    search = _Search(num, n, seed, starts, stop=_RESIDUAL_TOL)
     converged = []
     n_conv = 0
     for idx in range(starts):
@@ -346,7 +349,7 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0):
         except _Converged as stop:
             x = stop.params
         else:
-            if not np.linalg.norm(info["fvec"]) < tol:
+            if not np.linalg.norm(info["fvec"]) < _RESIDUAL_TOL:
                 continue
         n_conv += 1
         center, _axis = search.assemble(x)
@@ -372,7 +375,7 @@ def numeric_census(curve, n, starts=20000, tol=1e-9, seed=0):
         "converged": n_conv,
         "convergence_rate": n_conv / starts if starts else 0.0,
         "worst_cluster_radius": worst,
-        "residual_tol": tol,
+        "residual_tol": _RESIDUAL_TOL,
         "cluster_tol": _CLUSTER_TOL,
         "seed": seed,
         "order": n,

@@ -118,11 +118,17 @@ def field_to_json(context):
     return data
 
 
-def field_from_json(data, path="field"):
-    _check_object(data, path, {"conductor", "lambda_sq"})
+def _conductor(data, path):
+    """The integer (not bool) ``conductor`` of an object at ``path``."""
     conductor = data.get("conductor")
     if not isinstance(conductor, int) or isinstance(conductor, bool):
         raise SchemaError(path + ".conductor", "expected an integer")
+    return conductor
+
+
+def field_from_json(data, path="field"):
+    _check_object(data, path, {"conductor", "lambda_sq"})
+    conductor = _conductor(data, path)
     if conductor < 1:
         raise SchemaError(path + ".conductor", "conductor must be positive")
     if conductor > _MAX_CONDUCTOR:
@@ -158,7 +164,7 @@ def element_from_json(data, path="element", context=None):
             {k: v for k, v in data.items() if k != "coords"}, path=path
         )
     else:
-        conductor = data.get("conductor")
+        conductor = _conductor(data, path)
         if conductor != context.conductor:
             raise SchemaError(
                 path + ".conductor",

@@ -321,7 +321,6 @@ def test_criterion_14_oracle_agreement_across_seeds(evaluations):
         for seed in (0, 7, 123):
             result = numeric_census(
                 ev.instance.curve, n, starts=starts, seed=seed,
-                tol=1e-9,
             )
             assert result.count == len(exact), (name, n, seed)
             for target in targets:

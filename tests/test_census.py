@@ -214,17 +214,23 @@ def test_census_matches_the_closure_under_every_generator(evaluations):
         _assert_matches_reference(inst.curve.form, inst.seeds, ev.report)
 
 
-def test_moved_census_matches_the_closure_under_every_generator(evaluations):
-    # the moved members of test_census_is_invariant_under_a_change_of_coordinates
+def _moved_members(evaluations):
+    """(form, seeds) of each catalog curve moved by two random unimodular M.
+
+    The moved members of test_census_is_invariant_under_a_change_of_coordinates.
+    """
     rng = random.Random(8128)
     for ev in evaluations.values():
         inst = ev.instance
         for _ in range(2):
             m = _unimodular(inst.context, rng)
             inv = m.adjugate()
-            form = inst.curve.form.pullback(m)
-            seeds = [inv.apply_to_point(p) for p in inst.seeds]
-            _assert_matches_reference(form, seeds, census(PlaneCurve(form), seeds))
+            yield inst.curve.form.pullback(m), [inv.apply_to_point(p) for p in inst.seeds]
+
+
+def test_moved_census_matches_the_closure_under_every_generator(evaluations):
+    for form, seeds in _moved_members(evaluations):
+        _assert_matches_reference(form, seeds, census(PlaneCurve(form), seeds))
 
 
 def _assert_carried_records_are_classified(form, seeds, records):
@@ -256,7 +262,6 @@ def test_carried_records_equal_their_classification(evaluations):
     # the orbit closure classifies only the seeds; an automorphism g maps
     # the group at p onto the group at g(p), so each image's carried record
     # must equal its classification, entry for entry
-    rng = random.Random(8128)  # the moved members of the test above
     carried = 0
     for ev in evaluations.values():
         inst = ev.instance
@@ -265,13 +270,9 @@ def test_carried_records_equal_their_classification(evaluations):
                 inst.curve.form, inst.seeds, ev.report.records
             )
         )
-        for _ in range(2):
-            m = _unimodular(inst.context, rng)
-            inv = m.adjugate()
-            form = inst.curve.form.pullback(m)
-            seeds = [inv.apply_to_point(p) for p in inst.seeds]
-            records = orbit_expand(form, seeds)
-            carried += len(_assert_carried_records_are_classified(form, seeds, records))
+    for form, seeds in _moved_members(evaluations):
+        records = orbit_expand(form, seeds)
+        carried += len(_assert_carried_records_are_classified(form, seeds, records))
     assert carried > 0
 
 
@@ -392,6 +393,38 @@ def test_normalize_pair_round_trip_on_vertex_pairs():
     base_change, normalized, n = normalize_pair(fform, s1, s2)
     assert n == 2
     assert has_pair_normal_support(normalized, 2)
+
+
+def _assert_pairs_normalize(form, report):
+    """(c) of the census lemma, on each pair's normalized form: one exponent
+    class per axis variable, and class 0 when both points are outer."""
+    for pair in report.pairs:
+        r1, r2 = pair.rec1, pair.rec2
+        _, normalized, _ = normalize_pair(form, r1, r2)
+        for var, order in ((0, r1.order), (1, r2.order)):
+            classes = {e[var] % order for e in normalized.terms}
+            assert len(classes) == 1, (r1.point, r2.point)
+            if not (r1.on_curve or r2.on_curve):
+                assert classes == {0}, (r1.point, r2.point)
+    return len(report.pairs)
+
+
+def test_every_mutual_pair_normalizes_to_one_exponent_class_per_axis(evaluations):
+    # normalize_pair does not re-check the lemma, so every pair of every
+    # catalog census, of the moved members and of the inner-outer curve
+    # X^3 Z + Y^4 + Z^4 is checked here
+    checked = 0
+    for ev in evaluations.values():
+        checked += _assert_pairs_normalize(ev.instance.curve.form, ev.report)
+    for form, seeds in _moved_members(evaluations):
+        checked += _assert_pairs_normalize(form, census(PlaneCurve(form), seeds))
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (-1, 0, 1), (1, 1, 0))
+    report = census(PlaneCurve(form), seeds)
+    assert any(p.rec1.on_curve != p.rec2.on_curve for p in report.pairs)
+    checked += _assert_pairs_normalize(form, report)
+    assert checked > 0
 
 
 def test_pair_normal_support_rejections():

@@ -290,15 +290,11 @@ def test_oracle_census_text_prints_no_negative_zero(fermat_file, capsys):
         ("--order", "1"),
         ("--order", "-3"),
         ("--order", "5"),
-        ("--tol", "0"),
-        ("--tol", "-1e-9"),
-        ("--tol", "nan"),
-        ("--tol", "inf"),
         ("--seed", "-1"),
     ],
 )
 def test_oracle_census_rejects_bad_arguments(fermat_file, capsys, flag, value):
-    args = {"--order": "4", "--starts": "10", "--tol": "1e-9"}
+    args = {"--order": "4", "--starts": "10"}
     args[flag] = value
     argv = ["oracle-census", "--curve", fermat_file, "--format", "json"]
     argv += ["%s=%s" % item for item in args.items()]

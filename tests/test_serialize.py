@@ -166,6 +166,24 @@ def test_element_schema_rejections():
         element_from_json("1", "e", context=ctx)
 
 
+def test_element_conductor_must_be_an_integer_with_a_context():
+    # 3.0 == 3 and True == 1, so an equality test alone would accept them
+    for conductor, bad in ((3, 3.0), (1, True)):
+        one = {
+            "conductor": conductor,
+            "coords": ["1"] + ["0"] * (FieldContext(conductor).dim - 1),
+        }
+        terms = [
+            {"exps": e, "coeff": dict(one)} for e in ([4, 0, 0], [0, 4, 0], [0, 0, 4])
+        ]
+        terms[0]["coeff"]["conductor"] = bad
+        data = {"field": {"conductor": conductor}, "degree": 4, "terms": terms}
+        with pytest.raises(SchemaError) as info:
+            curve_from_json(data)
+        assert info.value.path == "curve.terms[0].coeff.conductor"
+        assert "expected an integer" in str(info.value)
+
+
 def test_schema_error_carries_path():
     ctx = FieldContext(8)
     try:

@@ -61,11 +61,10 @@ def _float_imports(path):
 
 
 def test_exact_modules_import_no_floating_point_code():
-    # Only the heuristic oracle, and the CLI that reports it, compute with
-    # floats; every certified statement comes from the other modules.
+    # Only the heuristic oracle computes with floats; every certified
+    # statement comes from the other modules.
     float_users = {p.name for p in _sources() if _float_imports(p)}
-    assert "oracle.py" in float_users
-    assert float_users <= {"oracle.py", "cli.py"}
+    assert float_users == {"oracle.py"}
 
 
 def test_benchmark_trace_hooks_resolve_in_the_package():
