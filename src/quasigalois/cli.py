@@ -73,7 +73,9 @@ def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:  # bad syntax or UTF-8, or int() past its digit limit
+        except (ValueError, RecursionError) as exc:
+            # bad syntax or UTF-8, int() past its digit limit, or arrays and
+            # objects nested deeper than the decoder's recursion allows
             raise _InvalidJSON(str(exc)) from None
 
 
@@ -407,8 +409,11 @@ def _cmd_verify_paper(args):
         raise SchemaError("--seed", "must be a nonnegative integer")
     cases = _verify_cases()
     if args.list:
-        for name in cases:
-            print(name)
+        if args.format == "json":
+            _print_json(list(cases))
+        else:
+            for name in cases:
+                print(name)
         return 0
     if args.case:
         unknown = [c for c in args.case if c not in cases]

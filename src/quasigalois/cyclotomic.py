@@ -12,18 +12,20 @@ the step's generator, which gives its norm to the next subfield.  By the
 transitivity of the norm the last step gives the rational norm N(e), and the
 inverse is the product of the steps' conjugate products divided by it.
 
-Sums of products (matrix entries, point images, minors, form values) go
-through one kernel, FieldContext.dot: it adds the convolutions of all the
-numerators over the lcm of the product denominators, then reduces modulo
-Phi_N and normalizes once.  Reduction modulo Phi_N is linear, so the reduced
-sum equals the sum of the reduced products, and (nums, den) in lowest terms
-with den > 0 is a unique normal form; the result is therefore identical, bit
-for bit, to the left-to-right sum of separately normalized products.  The
-same uniqueness lets both kernels skip work whose result is known: a pair
-with a zero factor costs dot nothing (leaving its denominator out of the
-common one changes no reduced fraction), and a product with a rational
-factor c/d is the scaling (c * nums, d * den), with no convolution or
-reduction, so every stored element stays what the full path would give.
+Every product goes through one kernel, FieldContext.dot: for a sum of
+products (matrix entries, point images, minors, form values) it adds the
+convolutions of all the numerators over the lcm of the product denominators,
+then reduces modulo Phi_N and normalizes once, and a single product x * y of
+two irrational factors is the one-pair call dot((x,), (y,)).  Reduction
+modulo Phi_N is linear, so the reduced sum equals the sum of the reduced
+products, and (nums, den) in lowest terms with den > 0 is a unique normal
+form; the result is therefore identical, bit for bit, to the left-to-right
+sum of separately normalized products.  The same uniqueness lets the kernel
+skip work whose result is known: a pair with a zero factor costs dot nothing
+(leaving its denominator out of the common one changes no reduced fraction),
+and FieldElement.__mul__ short-cuts a rational factor c/d to the scaling
+(c * nums, d * den), with no convolution or reduction, so every stored
+element stays what the full path would give.
 
 A context may carry one formal square root l with l^2 = c for a chosen base
 element c.  An element is u + v*l with u, v in K = Q(zeta_N), and products in
@@ -110,17 +112,6 @@ def euler_phi(n):
     return result
 
 
-def _conv(a, b):
-    """Convolution of integer vectors, skipping zero entries."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _reduce_mod(vec, mod):
     """Reduce an integer vector in place modulo a monic integer polynomial."""
     m = len(mod) - 1
@@ -164,7 +155,6 @@ class FieldContext:
         "signature",
         "_zero",
         "_one",
-        "_root_cache",
     )
 
     def __init__(self, conductor, lambda_sq=None):
@@ -192,7 +182,6 @@ class FieldContext:
         self.signature = (conductor, sig)
         self._zero = FieldElement(self, (0,) * self.dim, 1)
         self._one = FieldElement(self, (1,) + (0,) * (self.dim - 1), 1)
-        self._root_cache = {}
 
     # -- construction -------------------------------------------------------
 
@@ -212,10 +201,9 @@ class FieldContext:
         )
 
     def from_coords(self, coords):
-        """Build an element from phi(N) (or 2*phi(N)) rational coordinates."""
+        """Build an element from exactly dim rational coordinates: phi(N)
+        in a plain context, 2*phi(N) (u's, then v's of u + v*l) in K[l]."""
         vals = [Fraction(c) for c in coords]
-        if len(vals) == self.degree and self.dim == 2 * self.degree:
-            vals = vals + [Fraction(0)] * self.degree
         if len(vals) != self.dim:
             raise ValueError(
                 "expected %d coordinates, got %d" % (self.dim, len(vals))
@@ -259,8 +247,6 @@ class FieldContext:
             return FieldElement(self, e.nums, e.den)
         if e.context.signature != (self.base.conductor, None):
             raise ValueError("element does not belong to the base field")
-        if self.lambda_sq is None:
-            return FieldElement(self, e.nums, e.den)
         return FieldElement(self, e.nums + (0,) * self.degree, e.den)
 
     def extend_sqrt(self, c):
@@ -339,19 +325,15 @@ class FieldContext:
         """A primitive n-th root of unity g^(w/n), or RootOfUnityUnavailable.
 
         zeta_n exists in Q(zeta_N) iff n divides w, with (w, g) the order and
-        generator of mu(K) from _roots_of_unity.
+        generator of mu(K) from _roots_of_unity.  The power is computed on
+        every call: a context keeps no state beyond its construction.
         """
         if n < 1:
             raise ValueError("order must be positive")
-        cached = self._root_cache.get(n)
-        if cached is not None:
-            return cached
         w, g = self._roots_of_unity()
         if w % n:
             raise RootOfUnityUnavailable(n, self.conductor, self.suggested_conductor(n))
-        result = g ** (w // n)
-        self._root_cache[n] = result
-        return result
+        return g ** (w // n)
 
     # -- misc ---------------------------------------------------------------
 
@@ -490,13 +472,14 @@ class FieldElement:
         return other + (-self)
 
     def __mul__(self, other):
-        """Product; in a plain context a rational factor c/d only scales.
+        """Product: a one-pair FieldContext.dot, short-cut for a rational factor.
 
-        The convolution of the other operand's numerators with (c, 0, ...)
-        is c times them and needs no reduction, and _make turns
-        (c * nums, d * den) into the same reduced fraction as the full path.
-        So a zero factor gives zero and a factor 1 the other operand.  A K[l]
-        product is five such base-field products.
+        In a plain context, the convolution of the other operand's numerators
+        with a rational factor's (c, 0, ...) is c times them and needs no
+        reduction, and _make turns (c * nums, d * den) into the same reduced
+        fraction as dot.  So a zero factor gives zero, a factor 1 the other
+        operand, and only two irrational factors reach dot.  A K[l] product
+        is five such base-field products.
         """
         other = self._coerce(other)
         if other is NotImplemented:
@@ -507,8 +490,7 @@ class FieldElement:
             if any(q.nums[1:]):
                 q, x = other, self
                 if any(q.nums[1:]):
-                    vec = _reduce_mod(_conv(self.nums, other.nums), ctx.modulus)
-                    return _make(ctx, tuple(vec), self.den * other.den)
+                    return ctx.dot((self,), (other,))
             c = q.nums[0]
             if not c:
                 return ctx._zero

@@ -446,8 +446,6 @@ class HomoPoly:
         """The form times a field element, an int or a Fraction."""
         if not isinstance(s, FieldElement):
             s = self.context.from_rational(s)
-        if s.is_zero():
-            return HomoPoly.zero(self.context, self.degree)
         return HomoPoly(
             self.context, self.degree, {e: c * s for e, c in self.terms.items()}
         )

@@ -26,7 +26,7 @@ from quasigalois import (
     orbit_expand,
 )
 from quasigalois import catalog
-from quasigalois.census import build_pair_graph
+from quasigalois.census import _certify, build_pair_graph
 from quasigalois.cyclotomic import _conjugate
 from quasigalois.serialize import sorted_records
 
@@ -490,6 +490,13 @@ def test_certification_levels():
     assert report.certification == "bound_gap"
     assert report.certification_bound is None
     assert report.delta_prime == {5: 2}
+
+    # at a tabled degree, a count off the table with the bound unattained
+    # is a gap too: 2 points of order 2 on a quartic, 5 of order 3 on a sextic
+    assert _certify(4, {2: 2, 4: 0}) == ("bound_gap", 21, 2)
+    assert _certify(6, {2: 0, 3: 5, 6: 0}) == ("bound_gap", 12, 5)
+    assert _certify(4, {2: 5, 4: 0})[0] == "theory_table_only"
+    assert _certify(4, {2: 12, 4: 3})[0] == "theory_table_only"
 
 
 def test_inner_points_are_tallied_separately():

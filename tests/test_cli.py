@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quasigalois
-from quasigalois import FieldContext, OracleCensus, catalog, curve_to_json
+from quasigalois import FieldContext, OracleCensus, catalog, curve_to_json, point_to_json
 from quasigalois import cli, serialize
 from quasigalois.cli import main
 
@@ -133,6 +133,12 @@ def test_profile_of_coordinate_line(fermat_file, capsys):
     assert sorted(data["profile"]) == [1, 1, 1, 1]
 
 
+def test_profile_text(fermat_file, capsys):
+    # Z = 0 meets X^4 + Y^4 + Z^4 in four distinct points
+    assert main(["profile", "--curve", fermat_file, "--line", "0,0,1"]) == 0
+    assert capsys.readouterr().out == "profile [1, 1, 1, 1] (sum 4)\n"
+
+
 def element(k):
     return {"conductor": 8, "coords": [str(k), "0", "0", "0"]}
 
@@ -169,6 +175,29 @@ def test_analyze_default_seeds_are_vertices(fermat_file, capsys):
     assert main(["analyze", "--curve", fermat_file, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["delta_prime"]["4"] == 3
+
+
+def test_analyze_text_report(fermat_file, tmp_path, capsys):
+    # the catalog's six Fermat seeds reach the whole census of its entry
+    inst = catalog.make("fermat_quartic")
+    spath = tmp_path / "seeds.json"
+    spath.write_text(json.dumps({"points": [point_to_json(p) for p in inst.seeds]}))
+    assert main(["analyze", "--curve", fermat_file, "--seeds", str(spath)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    exp = inst.expected
+    assert lines[:5] == [
+        "degree 4",
+        "δ′: 2 → 12  4 → 3",
+        "δ (inner): 3 → 0",
+        "quasi-Galois points 15, pairs 21, triples 7",
+        "certification: %s" % exp["certification"],
+    ]
+    assert (exp["point_count"], exp["pair_count"], exp["triple_count"]) == (15, 21, 7)
+    points = lines[5:]
+    assert len(points) == 15
+    assert sum(" order 4  outer  axis " in line for line in points) == 3
+    assert sum(" order 2  outer  axis " in line for line in points) == 12
+    assert "  (1 : 0 : 0)  order 4  outer  axis Line[1, 0, 0]" in points
 
 
 def test_analyze_cap_exceeded_is_a_verification_failure(fermat_file, capsys):
@@ -215,6 +244,27 @@ def test_closure_command(fermat_file, tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["order"] == 16
     assert data["histogram"] == {"1": 1, "2": 3, "4": 12}
+
+
+def test_closure_text(fermat_file, tmp_path, capsys):
+    # diag(i, 1, 1) and diag(1, i, 1) generate (Z/4)^2 in PGL(3)
+    ctx = catalog.make("fermat_quartic").context
+    from quasigalois import ProjMatrix
+
+    i4 = ctx.root_of_unity(4)
+    one, zero = ctx.one(), ctx.zero()
+    gpath = generator_file(
+        tmp_path,
+        [
+            ProjMatrix(ctx, ((i4, zero, zero), (zero, one, zero), (zero, zero, one))),
+            ProjMatrix(ctx, ((one, zero, zero), (zero, i4, zero), (zero, zero, one))),
+        ],
+    )
+    assert main(["closure", "--curve", fermat_file, "--generators", gpath]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "order 16",
+        "order histogram: 1 → 1  2 → 3  4 → 12",
+    ]
 
 
 def test_closure_respects_cap(fermat_file, tmp_path, capsys):
@@ -402,6 +452,13 @@ def test_verify_paper_list(capsys):
     assert "quartic_xy_fermat_a6" in names
 
 
+def test_verify_paper_list_follows_the_format(capsys):
+    assert main(["verify-paper", "--list"]) == 0
+    names = capsys.readouterr().out.split()
+    assert main(["verify-paper", "--list", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == names
+
+
 def test_verify_paper_unknown_case(capsys):
     assert main(["verify-paper", "--case", "not_a_case"]) == 2
 
@@ -478,6 +535,41 @@ def test_integer_past_the_json_digit_limit_is_a_json_error(fermat_file, tmp_path
     path.write_text(text)
     assert main(["smooth", "--curve", str(path), "--format", "json"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "json"
+
+
+def test_deeply_nested_json_is_a_json_error(tmp_path, capsys):
+    # the decoder gives up on nesting with a RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    for command in ("analyze", "smooth"):
+        assert main([command, "--curve", str(path), "--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "json"
+    assert main(["smooth", "--curve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error (json): invalid JSON: ")
+
+
+def test_a_singular_curve_is_a_verification_failure(tmp_path, capsys):
+    # (X^2 + Y^2)^2 over Q(zeta_3): every point of the double conic is singular
+    def coeff(k):
+        return {"conductor": 3, "coords": [str(k), "0"]}
+
+    terms = [([4, 0, 0], 1), ([2, 2, 0], 2), ([0, 4, 0], 1)]
+    data = {
+        "field": {"conductor": 3},
+        "degree": 4,
+        "terms": [{"exps": e, "coeff": coeff(k)} for e, k in terms],
+    }
+    path = tmp_path / "double_conic.json"
+    path.write_text(json.dumps(data))
+    argv = ["analyze", "--curve", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (singular): ")
+    assert main(argv + ["--format", "json"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "singular"
+    assert error["message"]
 
 
 def test_verify_paper_json_digest_is_unchanged(capsys):
@@ -563,3 +655,33 @@ def test_verify_paper_strict_fails_on_an_oracle_mismatch(monkeypatch, capsys):
     assert main(argv + ["--strict"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert (payload["passed"], payload["strict"]) == (False, True)
+
+
+def test_verify_paper_text_reports_failed_checks_and_warnings(monkeypatch, capsys):
+    # a wrong expectation prints its check line; an oracle that disagrees
+    # prints a warning line
+    real_make = catalog.make
+
+    def make_with_a_wrong_count(name, **params):
+        inst = real_make(name, **params)
+        inst.expected = dict(inst.expected, point_count=6)
+        return inst
+
+    def wrong_count(curve, n, starts, seed):
+        return OracleCensus(99, [], {"convergence_rate": 1.0})
+
+    monkeypatch.setattr(cli, "numeric_census", wrong_count)
+    argv = ["verify-paper", "--case", "quartic_5family", "--seed", "0"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS: ")
+    assert "  warning: oracle: order 2 numeric count 99 != exact 5" in lines
+    assert lines[-1] == "1/1 cases passed"
+    assert not any(line.startswith("  check ") for line in lines)
+    monkeypatch.setattr(catalog, "make", make_with_a_wrong_count)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL: ")
+    assert "  check point_count: expected 6, got 5" in lines
+    assert "  warning: oracle: order 2 numeric count 99 != exact 5" in lines
+    assert lines[-1] == "0/1 cases passed"

@@ -17,7 +17,7 @@ from quasigalois import (
     multiplicative_order,
 )
 from quasigalois import cyclotomic
-from quasigalois.cyclotomic import _conjugate, _conv, _galois_tower, _make, _reduce_mod
+from quasigalois.cyclotomic import _conjugate, _galois_tower, _make, _reduce_mod
 from quasigalois.serialize import _MAX_CONDUCTOR
 
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 7, 9, 15, 28)
@@ -121,6 +121,18 @@ def test_from_coords_round_trip_randomized():
         for _ in range(20):
             e = random_element(ctx, rng)
             assert ctx.from_coords(e.coords()) == e
+
+
+def test_from_coords_takes_exactly_dim_coordinates():
+    # a K[l] element takes all 2*phi(N) coordinates; phi(N) of them are refused
+    ext = FieldContext(4).extend_sqrt(FieldContext(4).from_int(3))
+    assert ext.from_coords([1, 2, 3, 4]).parts() == (
+        ext.base.from_coords([1, 2]),
+        ext.base.from_coords([3, 4]),
+    )
+    for coords in ([1, 2], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            ext.from_coords(coords)
 
 
 def test_power_matches_repeated_multiplication():
@@ -289,6 +301,18 @@ def test_dot_accepts_compatible_contexts_and_rejects_incompatible_ones():
             ctx.dot([ctx.one()], [bad])
     with pytest.raises(ValueError):
         ext.dot([ext.one()], [other.one()])
+
+
+def _conv(a, b):
+    """Convolution of integer vectors, skipping zero entries (the reference
+    kernel the products below are checked against)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 def _five_convolution_product(x, y):

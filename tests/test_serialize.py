@@ -204,14 +204,39 @@ def test_point_line_matrix_round_trips():
     assert matrix_from_json(matrix_to_json(m), ctx) == m
     with pytest.raises(SchemaError):
         point_from_json(point_to_json(p), FieldContext(8))
+    zero = [element_to_json(ctx.zero())] * 3
+    for read, kind in ((point_from_json, "point"), (line_from_json, "line")):
+        with pytest.raises(SchemaError) as info:
+            read(zero, ctx)
+        assert info.value.path == kind
+        assert "cannot be the zero vector" in info.value.message
 
 
 def test_curve_round_trip_all_entries(instances):
-    for name, inst in instances.items():
+    # at a = 6 quartic_xy lives in K[l], so every coefficient carries lambda_sq
+    extended = catalog.make("quartic_xy", a=6)
+    assert extended.context.lambda_sq is not None
+    for name, inst in dict(instances, quartic_xy_a6=extended).items():
         data = curve_to_json(inst.curve)
         back = curve_from_json(data)
         assert back.form == inst.curve.form, name
         assert back.form.context == inst.context, name
+
+
+def test_extension_coefficients_must_match_the_curve_field():
+    data = curve_to_json(catalog.make("quartic_xy", a=6).curve)
+    plain = json.loads(json.dumps(data))
+    del plain["terms"][0]["coeff"]["lambda_sq"]
+    other = json.loads(json.dumps(data))
+    other["terms"][0]["coeff"]["lambda_sq"]["coords"] = ["0", "1", "0", "0"]
+    for bad, path, message in (
+        (plain, "curve.terms[0].coeff", "disagree about the quadratic extension"),
+        (other, "curve.terms[0].coeff.lambda_sq", "different quadratic extension"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            curve_from_json(bad)
+        assert info.value.path == path
+        assert message in info.value.message
 
 
 def test_curve_json_is_byte_deterministic(instances):
@@ -270,6 +295,17 @@ def test_form_schema_rejections():
         form_from_json(dict(base, terms=[]), "c")
     with pytest.raises(SchemaError):
         form_from_json("nope", "c")
+    term = base["terms"][0]
+    zero_term = {"exps": [0, 4, 0], "coeff": {"conductor": 4, "coords": ["0", "0"]}}
+    for bad, path, message in (
+        (dict(base, terms=[term, term]), "c.terms[1].exps", "duplicate exponent"),
+        (dict(base, terms=[zero_term]), "c.terms", "all coefficients are zero"),
+        ({k: v for k, v in base.items() if k != "field"}, "c.field", "missing"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            form_from_json(bad, "c")
+        assert info.value.path == path
+        assert message in info.value.message
 
 
 def test_report_json_shape(instances):
@@ -391,6 +427,9 @@ def test_literal_rejections():
             point_from_literal(bad, ctx)
     with pytest.raises(SchemaError):
         point_from_literal("0, 0, 0", ctx)
+    with pytest.raises(SchemaError) as info:
+        point_from_literal("1, , 0", ctx)
+    assert (info.value.path, info.value.message) == ("point[1]", "empty literal")
 
 
 def test_conductor_past_the_ceiling_is_rejected():
