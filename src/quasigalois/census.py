@@ -35,6 +35,9 @@ groups G[P1], G[P2].
     mod n2.  An outer order divides d, so both classes are 0.  If F(T) = 0,
     then F(x, y, 1) has no constant and no linear term, and T is a singular
     point of C.
+(d) If a census point R forms pairs with both P1 and P2, R lies on A1 and
+    on A2 by (a), so R = T.  A triangle of the pair graph is a pair with
+    its third point.
 """
 
 from __future__ import annotations
@@ -147,33 +150,28 @@ def _pair_info(rec1, rec2):
 
 
 def build_pair_graph(records):
-    """All mutual pairs among the quasi-Galois records, in deterministic order."""
+    """All mutual pairs among the quasi-Galois records, in deterministic order;
+    the records are distinct, so (a) of the module's lemma is the whole test."""
     qg = [rec for rec in records.values() if rec.is_quasi_galois]
     pairs = []
     for i in range(len(qg)):
         for j in range(i + 1, len(qg)):
-            if is_mutual_pair(qg[i], qg[j]):
+            if qg[i].generator.axis.contains(qg[j].point):
                 pairs.append(_pair_info(qg[i], qg[j]))
     return pairs
 
 
 def find_triples(pairs):
-    """Triangles in the pair graph: point triples pairwise forming pairs."""
-    adj = {}
+    """Triangles in the pair graph, each a pair with its third point by (d)
+    of the module's lemma, in the order of their first pair."""
+    edges = {frozenset(pair.points()) for pair in pairs}
+    triples = {}
     for pair in pairs:
-        p, q = pair.rec1.point, pair.rec2.point
-        adj.setdefault(p, set()).add(q)
-        adj.setdefault(q, set()).add(p)
-    points = list(adj)
-    triples = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[j] not in adj[points[i]]:
-                continue
-            for k in range(j + 1, len(points)):
-                if points[k] in adj[points[i]] and points[k] in adj[points[j]]:
-                    triples.append((points[i], points[j], points[k]))
-    return triples
+        p, q = pair.points()
+        t = pair.third
+        if frozenset((p, t)) in edges and frozenset((q, t)) in edges:
+            triples.setdefault(frozenset((p, q, t)), (p, q, t))
+    return list(triples.values())
 
 
 def normalize_pair(form, rec1, rec2):

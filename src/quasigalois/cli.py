@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog
@@ -557,11 +558,13 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def _run(args):
+    """Run a subcommand, mapping its errors to exit codes but a closed stdout."""
     fmt = getattr(args, "format", "text")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except SchemaError as exc:
         return _fail(fmt, 2, "schema", exc.message, path=exc.path)
     except _InvalidJSON as exc:
@@ -572,6 +575,19 @@ def main(argv=None):
         return _fail(fmt, 1, "singular", str(exc))
     except QuasiGaloisError as exc:
         return _fail(fmt, 1, type(exc).__name__, str(exc))
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # stdout is closed: report on stderr, and send what is still
+        # buffered to the null device so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("text", 2, "io", str(exc))
 
 
 if __name__ == "__main__":

@@ -356,10 +356,7 @@ class FieldContext:
 
 
 def _make(ctx, nums, den):
-    """Normalize (nums, den) to lowest terms and wrap."""
-    if den < 0:
-        den = -den
-        nums = tuple(-c for c in nums)
+    """Normalize (nums, den), den > 0, to lowest terms and wrap."""
     g = _content(nums, den)
     if g > 1:
         nums = tuple(c // g for c in nums)
@@ -660,13 +657,14 @@ def _inv_base(e):
     conjugates of x_(i-1) and x_i = x_(i-1) * y_i, the last x is N(e), a
     nonzero rational, and e^-1 = (prod y_i) / N(e).  That takes
     sum(o_i) - 1 products instead of the phi(N) - 1 of multiplying e by all
-    its nontrivial conjugates (18 instead of 197 at N = 199).
+    its nontrivial conjugates (18 instead of 197 at N = 199).  N(e) > 0:
+    for N >= 3, K is totally imaginary, so N(e) is a product of squared
+    absolute values |s(e)|^2 over pairs of complex embeddings s; for N <= 2
+    every element is rational.  So the denominator rest.den * p is positive.
     """
     if e.is_zero():
         raise ZeroDivisionError("inverse of zero")
     ctx = e.context
-    if ctx.lambda_sq is not None:
-        raise ValueError("_inv_base expects a plain cyclotomic element")
     if e.is_rational():
         return ctx.from_rational(1 / e.as_rational())
     N = ctx.conductor

@@ -10,7 +10,9 @@ from quasigalois import (
     HomoPoly,
     NotSmooth,
     ParameterViolation,
+    ProjLine,
     ProjMatrix,
+    line_action_analysis,
 )
 from quasigalois import catalog, cli
 
@@ -204,3 +206,51 @@ def test_each_curve_is_its_familys_normal_form():
     assert form("sextic_delta8") == _delta_sextic(FieldContext(24))
     for a in (1, Fraction(3, 2)):
         assert form("sextic_delta4", a=a) == _delta_sextic(c3, a), a
+
+
+def test_hand_written_automorphisms_and_constants(instances):
+    # the builders take these on trust: the swap of sextic_delta8 preserves
+    # its form, and the Klein entry's lam is a square root of 4a/(6 - a)
+    delta8 = instances["sextic_delta8"]
+    swap = delta8.extras["swap_automorphism"]
+    assert delta8.curve.form.pullback(swap).proportional_to(delta8.curve.form)
+    klein = instances["quartic_klein"]
+    a = klein.curve.form.coeff((2, 2, 0))
+    lam = klein.extras["extra_involution"].rows[1][0]
+    assert lam * lam == (a * 4) / (6 - a)
+
+
+def test_every_repr_names_its_object(evaluations):
+    ev = evaluations["sextic_delta8"]
+    report = ev.report
+    rec = report.records[ev.instance.seeds[3]]  # (0:0:1), of order 6
+    ctx = ev.instance.context
+    ext = FieldContext(4).extend_sqrt(FieldContext(4).from_int(2))
+    action = line_action_analysis(ev.groups["aut"], ProjLine.from_ints(ctx, (0, 0, 1)))
+    reprs = {
+        "CurveInstance(sextic_delta8)": ev.instance,
+        "EntryEvaluation(sextic_delta8: pass": ev,
+        "CensusReport(21 points": report,
+        "PairInfo(": report.pairs[0],
+        "PointRecord(": rec,
+        "Homology(order 6": rec.generator,
+        "(": rec.point,
+        "Line[": rec.generator.axis,
+        "ProjMatrix(": rec.generator.matrix,
+        "PlaneCurve(HomoPoly[deg 6]((1)*X^6": ev.instance.curve,
+        "HomoPoly[deg 6]": ev.instance.curve.form,
+        "FieldContext(Q(zeta_24))": ctx,
+        "FieldContext(Q(zeta_4)[l], l^2 = 2)": ext,
+        "z": ctx.zeta(),
+        "LineActionReport(|G|=144": action,
+    }
+    for prefix, obj in reprs.items():
+        assert repr(obj).startswith(prefix), (prefix, repr(obj))
+
+
+def test_quartic_symmetric_field_element_gates(instances):
+    klein_a = instances["quartic_klein"].curve.form.coeff((2, 2, 0))
+    with pytest.raises(ParameterViolation, match="quartic_klein"):
+        catalog.make("quartic_symmetric", a=klein_a)
+    with pytest.raises(ValueError, match="containing i"):
+        catalog.make("quartic_symmetric", a=FieldContext(3).zeta())

@@ -345,6 +345,45 @@ def test_triples_arise_from_pairwise_links(evaluations):
         assert frozenset((a, c)) in pair_keys
 
 
+def _reference_triples(pairs):
+    """Every point triple pairwise forming pairs, by a scan over all triples."""
+    adj = {}
+    for pair in pairs:
+        p, q = pair.rec1.point, pair.rec2.point
+        adj.setdefault(p, set()).add(q)
+        adj.setdefault(q, set()).add(p)
+    points = list(adj)
+    triples = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[j] not in adj[points[i]]:
+                continue
+            for k in range(j + 1, len(points)):
+                if points[k] in adj[points[i]] and points[k] in adj[points[j]]:
+                    triples.append((points[i], points[j], points[k]))
+    return triples
+
+
+def test_triangles_are_the_pairs_with_their_third_points(evaluations):
+    # (d) of the census lemma: find_triples reads each triangle off a pair's
+    # third point, and the scan over all point triples finds the same ones
+    reports = [ev.report for ev in evaluations.values()]
+    for form, seeds in _moved_members(evaluations):
+        reports.append(census(PlaneCurve(form), seeds))
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (-1, 0, 1), (1, 1, 0))
+    reports.append(census(PlaneCurve(form), seeds))
+    assert len(reports) == 3 * len(evaluations) + 1
+    found = 0
+    for report in reports:
+        got = {frozenset(t) for t in report.triples}
+        assert len(got) == len(report.triples)
+        assert got == {frozenset(t) for t in _reference_triples(report.pairs)}
+        found += len(got)
+    assert found > 0
+
+
 def test_mutual_pair_recognition():
     inst = catalog.make("hessian_sextic")
     form = inst.curve.form
@@ -589,3 +628,13 @@ def test_census_is_invariant_under_a_change_of_coordinates(evaluations):
             for key in gens.keys() & ev.groups.keys():
                 closure = group_closure(gens[key], cap=1000, curve=moved)
                 assert len(closure) == len(ev.groups[key]), (name, key)
+
+
+def test_a_point_of_order_one_forms_no_pair():
+    fermat = catalog.make("fermat_quartic")
+    form, ctx = fermat.curve.form, fermat.context
+    vertex = classify_point(form, ProjPoint.from_ints(ctx, (1, 0, 0)))
+    plain = classify_point(form, ProjPoint.from_ints(ctx, (1, 2, 3)))
+    assert plain.order == 1 and not plain.is_quasi_galois
+    assert not is_mutual_pair(vertex, plain)
+    assert not is_mutual_pair(plain, vertex)

@@ -303,6 +303,18 @@ def test_closure_rejects_a_singular_generator(fermat_file, tmp_path, capsys):
     assert err["error"]["path"] == "generators.matrices[1]"
 
 
+def test_empty_seeds_and_foreign_generators_are_schema_errors(fermat_file, tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[]")
+    gens = generator_file(tmp_path, [catalog.make("hessian_sextic").extras["unit_point_homology"]])
+    for argv, path in (
+        (["analyze", "--curve", fermat_file, "--seeds", str(seeds)], "seeds"),
+        (["closure", "--curve", fermat_file, "--generators", gens], "generators.matrices[0]"),
+    ):
+        assert main(argv + ["--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
 def test_oracle_census_command(fermat_file, capsys):
     assert main(
         [
@@ -457,6 +469,33 @@ def test_verify_paper_list_follows_the_format(capsys):
     names = capsys.readouterr().out.split()
     assert main(["verify-paper", "--list", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == names
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("command", [["verify-paper", "--list"], ["smooth", "--curve", "missing.json"]])
+def test_a_closed_stdout_is_an_io_error(tmp_path, command, fmt, buffered):
+    # the reading end of the pipe is closed before the command writes, so
+    # its first write (unbuffered) or its final flush (buffered) fails; a
+    # missing file fails first, and then its JSON error cannot be printed
+    src = str(Path(quasigalois.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable] + ([] if buffered else ["-u"])
+    argv += ["-m", "quasigalois.cli"] + command + ["--format", fmt]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            argv, cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=300
+        )
+    finally:
+        os.close(write_end)
+    stderr = run.stderr.decode()
+    assert run.returncode == 2, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert stderr.startswith("error (io): ")
 
 
 def test_verify_paper_unknown_case(capsys):

@@ -623,3 +623,37 @@ def test_tower_inverse_checks_that_the_norm_is_rational(monkeypatch):
     monkeypatch.setitem(cyclotomic._tower_cache, 24, _galois_tower(24)[:2])
     with pytest.raises(InvariantViolation):
         (ctx.zeta() + 2).inverse()
+
+
+_Q4 = FieldContext(4)
+_Q4_SQRT2 = _Q4.extend_sqrt(_Q4.from_int(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: FieldContext(0), ValueError, "conductor must be", id="conductor"),
+        pytest.param(lambda: FieldContext(4, lambda_sq=2), TypeError, "FieldElement", id="lambda_sq_type"),
+        pytest.param(lambda: FieldContext(4, _Q4_SQRT2.one()), ValueError, "nested", id="nested"),
+        pytest.param(lambda: FieldContext(4, FieldContext(8).one()), ValueError, "conductor-4", id="lambda_sq_field"),
+        pytest.param(lambda: FieldContext(4, _Q4.zero()), ValueError, "nonzero", id="lambda_sq_zero"),
+        pytest.param(lambda: _Q4_SQRT2.extend_sqrt(_Q4.one()), ValueError, "already", id="extend_twice"),
+        pytest.param(lambda: _Q4_SQRT2.embed(FieldContext(8).one()), ValueError, "base field", id="embed"),
+        pytest.param(lambda: _Q4.zeta().parts(), ValueError, "no quadratic", id="parts"),
+        pytest.param(lambda: _Q4.sqrt_generator(), ValueError, "no quadratic", id="sqrt_generator"),
+        pytest.param(lambda: _Q4.from_parts(_Q4.one(), _Q4.one()), ValueError, "no quadratic", id="from_parts"),
+        pytest.param(lambda: _Q4.root_of_unity(0), ValueError, "positive", id="root_of_unity"),
+        pytest.param(lambda: _Q4.zeta().as_rational(), ValueError, "not rational", id="as_rational"),
+        pytest.param(lambda: _Q4.zero().inverse(), ZeroDivisionError, "zero", id="inverse_plain"),
+        pytest.param(lambda: _Q4_SQRT2.zero().inverse(), ZeroDivisionError, "zero", id="inverse_extended"),
+        pytest.param(lambda: _Q4.zeta() + "a", TypeError, "unsupported", id="add_str"),
+    ],
+)
+def test_field_misuse_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_an_integer_divided_by_a_field_element():
+    zeta = _Q4.zeta()
+    assert 2 / zeta == _Q4.from_int(2) * zeta.inverse() == _Q4.from_int(-2) * zeta

@@ -9,6 +9,7 @@ from quasigalois import (
     FieldContext,
     HomoPoly,
     LineContainedInCurve,
+    NotSmooth,
     PlaneCurve,
     PointNotOnCurve,
     PointNotOnLine,
@@ -741,3 +742,43 @@ def test_gradient_at_matches_the_partials_on_dense_forms():
                 expected = tuple(f.partial(v).evaluate(p) for v in range(3))
                 assert f.gradient_at(p) == expected
                 assert f.gradient_at(p.coords) == expected
+
+
+_C4 = FieldContext(4)
+_E1 = ProjPoint.from_ints(_C4, (1, 0, 0))
+_Z0 = ProjLine.from_ints(_C4, (0, 0, 1))
+_X4_Y2Z2 = HomoPoly.from_int_terms(_C4, 4, {(4, 0, 0): 1, (0, 2, 2): 1})
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: ProjLine.through(_E1, _E1), ValueError, "points coincide", id="through"),
+        pytest.param(lambda: _Z0.meet(_Z0), ValueError, "lines coincide", id="meet"),
+        pytest.param(lambda: ProjMatrix.from_ints(_C4, ((1, 0, 0), (0, 1, 0))), ValueError, "3x3", id="2x3"),
+        pytest.param(lambda: HomoPoly(_C4, 4, {(3, 0, 0): _C4.one()}), ValueError, "incompatible", id="exponent"),
+        pytest.param(
+            lambda: _X4_Y2Z2 + HomoPoly.from_int_terms(_C4, 3, {(3, 0, 0): 1}),
+            ValueError,
+            "degrees differ",
+            id="degrees",
+        ),
+        pytest.param(
+            lambda: intersection_multiplicity(
+                HomoPoly.from_int_terms(_C4, 4, {(3, 0, 1): 1, (0, 3, 1): 1}), _Z0, _E1
+            ),
+            LineContainedInCurve,
+            "lies entirely",
+            id="component",
+        ),
+        pytest.param(
+            lambda: tangent_line(_X4_Y2Z2, ProjPoint.from_ints(_C4, (0, 1, 0))),
+            NotSmooth,
+            "singular at the given point",
+            id="singular",
+        ),
+    ],
+)
+def test_degenerate_geometry_calls_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -422,3 +422,8 @@ def test_prime_choice_skips_denominators_and_singular_restrictions():
     flat = diag(ctx, one, ctx.zero(), one)
     with pytest.raises(ValueError, match="element 1 restricts to a singular matrix"):
         line_action_analysis([ProjMatrix.identity(ctx), flat], line)
+
+
+def test_closure_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        group_closure([])

@@ -594,3 +594,17 @@ def test_homology_from_matrix_rejects_singular_matrices():
         rows = [[diagonal[i] if i == j else 0 for j in range(3)] for i in range(3)]
         with pytest.raises(NotAHomology, match="invertible"):
             homology_from_matrix(ProjMatrix.from_ints(ctx, rows))
+
+
+def test_misuse_of_the_classification_raises():
+    ctx = FieldContext(4)
+    cusp = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1})
+    with pytest.raises(ValueError, match="singular at the point"):
+        classify_point(cusp, ProjPoint.from_ints(ctx, (0, 0, 1)))
+    fermat = catalog.make("fermat_quartic")
+    vertex = ProjPoint.from_ints(fermat.context, (1, 0, 0))
+    with pytest.raises(ValueError, match="different from 1"):
+        solve_homology(fermat.curve.form, vertex, fermat.context.one())
+    # eigenvalues 2, 1, 1: a plane of fixed points, but a ratio of infinite order
+    with pytest.raises(NotAHomology, match="not a root of unity"):
+        homology_from_matrix(ProjMatrix.from_ints(ctx, ((2, 0, 0), (0, 1, 0), (0, 0, 1))))

@@ -328,3 +328,17 @@ def test_early_stop_keeps_the_full_lmder_run_start_by_start(name, n, starts, mon
             center, full = search.assemble(point)[0], search.assemble(x)[0]
             assert oracle._fubini_study(center, full) < 1e-8, (name, idx)
     assert sum(calls for _, _, calls in stopped) < full_calls
+
+
+@pytest.mark.parametrize(
+    "exps, coeffs, match",
+    [
+        pytest.param([[4, 0, 0]], [1.0, 1.0], "parallel", id="lengths"),
+        pytest.param(np.zeros((0, 3), dtype=int), [], "zero polynomial", id="no_terms"),
+        pytest.param([[3, 0, 0]], [1.0], "sum to the degree", id="degree"),
+        pytest.param([[4, 0, 0]], [0.0], "zero polynomial", id="zero_coefficients"),
+    ],
+)
+def test_numeric_curve_rejects_malformed_arguments(exps, coeffs, match):
+    with pytest.raises(ValueError, match=match):
+        oracle.NumericCurve(4, exps, coeffs)

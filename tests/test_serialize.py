@@ -301,6 +301,7 @@ def test_form_schema_rejections():
         (dict(base, terms=[term, term]), "c.terms[1].exps", "duplicate exponent"),
         (dict(base, terms=[zero_term]), "c.terms", "all coefficients are zero"),
         ({k: v for k, v in base.items() if k != "field"}, "c.field", "missing"),
+        (dict(base, terms=[dict(term, extra=0)]), "c.terms[0]", "expected keys exps and coeff"),
     ):
         with pytest.raises(SchemaError) as info:
             form_from_json(bad, "c")
@@ -422,7 +423,7 @@ def test_literal_power_of_zeta_is_reduced_mod_the_conductor(monkeypatch):
 
 def test_literal_rejections():
     ctx = FieldContext(8)
-    for bad in ("", "1, 2", "1, 2, 3, 4", "w, 0, 0", "1 +", "z^", "1/0, 0, 1"):
+    for bad in ("", "1, 2", "1, 2, 3, 4", "w, 0, 0", "1 +", "z^", "1/0, 0, 1", "1 z, 0, 1"):
         with pytest.raises(SchemaError):
             point_from_literal(bad, ctx)
     with pytest.raises(SchemaError):
@@ -467,3 +468,26 @@ def test_matrix_from_json_reports_the_row_and_the_entry():
             matrix_from_json(data, ctx, path="m")
         assert (info.value.path, info.value.message) == (path, message)
     assert matrix_from_json(good, ctx, path="m") == ProjMatrix.identity(ctx)
+
+
+def _read_element(data):
+    return element_from_json(data, "e", context=FieldContext(4))
+
+
+def _read_generators(data):
+    return generators_from_json(data, "e")
+
+
+@pytest.mark.parametrize(
+    "read, data, path, message",
+    [
+        (_read_element, {"conductor": 4, "coords": [1, "0"]}, "e.coords[0]", "expected a rational string, got 1"),
+        (_read_element, {"conductor": 4, "coords": "1"}, "e.coords", "expected a list"),
+        (_read_generators, {"matrices": []}, "e.field", "missing"),
+        (_read_generators, {"field": {"conductor": 4}, "matrices": []}, "e.matrices", "expected a nonempty list"),
+    ],
+)
+def test_malformed_input_names_its_path(read, data, path, message):
+    with pytest.raises(SchemaError) as info:
+        read(data)
+    assert (info.value.path, info.value.message) == (path, message)
