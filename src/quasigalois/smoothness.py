@@ -30,8 +30,16 @@ gives a maximal minor that is nonzero mod P, hence nonzero in K: the rank
 over K is full and F is smooth.  A short rank mod P proves nothing, since
 it may come from a singular point of F or from a prime of bad reduction
 (X^4 + Y^4 + p Z^4 is smooth but singular mod p), so the exact rank over K
-decides.  Both ranks run through the same elimination, which takes its field
-from the caller.  A form over K[l] goes straight to the exact rank: a
+decides.  The rank mod P runs on packed integer rows (Kronecker
+substitution): a reduced partial is one int whose slot i*W + j, W = 3d - 4,
+holds its residue at (i, j, k), and the row m * F_v for m = (a, b, c) is
+that int shifted by a*W + b slots.  At a fixed degree the slot order is the
+lex order of exponent triples, so the top slot is the leading monomial.  A
+slot of ``bits`` = bit length of (target + 1) p^2 never carries: entries
+start below p and stay nonnegative, a reduction by a pivot (entries below p,
+lead 1) adds less than p^2 to a slot, and a row meets fewer than ``target``
+pivots, as its leading slot strictly drops.  A form over K[l] goes straight
+to the exact rank: a
 reduction sends l to one square root of c, so if c is a square in K, and
 K[l] is K x K, a full rank mod P proves only one factor's curve smooth.
 
@@ -61,15 +69,13 @@ def _rows(partials, d):
             yield {(i + a, j + b, k + c): x for (i, j, k), x in partial.items()}
 
 
-def _full_rank(rows, target, inverse, normal):
-    """True once the rows span `target` monomials, False if they run out.
+def _full_rank(rows, target):
+    """True once the rows span `target` monomials over K, False if they run out.
 
     An incremental sparse row echelon: each row is a dict keyed by monomial
     with nonzero entries, reduced at its leading monomial (the largest
     exponent triple) by the pivot stored there; a row whose leading monomial
     is new becomes a pivot scaled to 1 there, stored without that entry.
-    The field comes from the caller: `inverse(x)` inverts a nonzero entry and
-    `normal(x)` brings a product or sum to its normal form.
     """
     pivots = {}
     for row in rows:
@@ -77,15 +83,15 @@ def _full_rank(rows, target, inverse, normal):
             lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = inverse(row.pop(lead))
-                pivots[lead] = {m: normal(x * inv) for m, x in row.items()}
+                inv = row.pop(lead).inverse()
+                pivots[lead] = {m: x * inv for m, x in row.items()}
                 if len(pivots) == target:
                     return True
                 break
             scale = -row.pop(lead)
             for m, x in pivot.items():
                 y = row.get(m)
-                y = normal(scale * x if y is None else y + scale * x)
+                y = scale * x if y is None else y + scale * x
                 if y:
                     row[m] = y
                 else:
@@ -96,33 +102,54 @@ def _full_rank(rows, target, inverse, normal):
 def _full_rank_mod_p(form, target):
     """True when the Macaulay rows have full rank modulo P (see above).
 
-    False means only that the modular rank proves nothing, including for a
-    quadratic-extension form, which is not reduced (see above).
+    The elimination of `_full_rank` on packed rows, in the same row order:
+    a row's leading slot is cut off and reduced mod p to x; if x != 0, the
+    pivot stored at that slot (its lower slots, scaled so that the lead is 1)
+    is added p - x times, else a new pivot is stored.  False means only that
+    the modular rank proves nothing, including for a quadratic-extension
+    form, which is not reduced (see above).
     """
     ctx = form.context
     if ctx.lambda_sq is not None:
         return False
     red = next(split_reductions(ctx, [c.den for c in form.terms.values()], _PRIME_FLOOR))
-    p = red.p
-    # A partial's denominators divide F's, so P reduces its coefficients too.
-    partials = [
-        {e: r for e, c in form.partial(v).terms.items() if (r := red.element(c))}
-        for v in range(3)
-    ]
-    return _full_rank(
-        _rows(partials, form.degree),
-        target,
-        lambda x: pow(x, -1, p),
-        lambda x: x % p,
-    )
+    p, width = red.p, 3 * form.degree - 4
+    bits = ((target + 1) * p * p).bit_length()
+    shifts = [bits * (a * width + b) for a, b, _ in _monomials(2 * form.degree - 4)]
+    pivots = {}
+    for v in range(3):
+        # A partial's denominators divide F's, so P reduces its coefficients too.
+        packed = 0
+        for (i, j, _), c in form.partial(v).terms.items():
+            packed |= red.element(c) << bits * (i * width + j)
+        for shift in shifts:
+            row = packed << shift
+            while row:
+                lead = (row.bit_length() - 1) // bits
+                x = row >> bits * lead
+                row -= x << bits * lead
+                x %= p
+                if not x:
+                    continue
+                if lead not in pivots:
+                    inv, pivot = pow(x, -1, p), 0
+                    while row:
+                        top = bits * ((row.bit_length() - 1) // bits)
+                        y = row >> top
+                        row -= y << top
+                        pivot |= y * inv % p << top
+                    pivots[lead] = pivot
+                    if len(pivots) == target:
+                        return True
+                    break
+                row += (p - x) * pivots[lead]
+    return False
 
 
 def _full_rank_exact(form, target):
     """True when the Macaulay rows have full rank over the form's field."""
     partials = [form.partial(v).terms for v in range(3)]
-    return _full_rank(
-        _rows(partials, form.degree), target, lambda x: x.inverse(), lambda x: x
-    )
+    return _full_rank(_rows(partials, form.degree), target)
 
 
 def is_smooth(form):

@@ -10,6 +10,7 @@ from quasigalois import (
     FieldContext,
     HomoPoly,
     NotAGPair,
+    NotAHomology,
     PlaneCurve,
     ProjLine,
     ProjMatrix,
@@ -20,6 +21,7 @@ from quasigalois import (
     find_triples,
     group_closure,
     has_pair_normal_support,
+    homology_from_matrix,
     is_mutual_pair,
     make_pair,
     normalize_pair,
@@ -382,6 +384,35 @@ def test_triangles_are_the_pairs_with_their_third_points(evaluations):
         assert got == {frozenset(t) for t in _reference_triples(report.pairs)}
         found += len(got)
     assert found > 0
+
+
+def test_census_points_are_the_homology_centers_of_their_group(evaluations):
+    # the census is a union of orbits of its own group: the group that the
+    # census generators generate has a homology at every census point, and at
+    # no other point, and its largest order there is the record's order
+    reports = [ev.report for ev in evaluations.values()]
+    for form, seeds in _moved_members(evaluations):
+        reports.append(census(PlaneCurve(form), seeds))
+    # X^3 Z + Y^4 + Z^4 from its three vertices and two of its hyperflexes;
+    # sqrt(3) = zeta_12 + zeta_12^-1
+    ctx = FieldContext(12)
+    form = HomoPoly.from_int_terms(ctx, 4, {(3, 0, 1): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    seeds = points(ctx, (1, 0, 0), (0, 1, 0), (-1, 0, 1))
+    sqrt3 = ctx.zeta() + ctx.zeta() ** 11
+    seeds.append(ProjPoint(ctx, [sqrt3 - 1, ctx.zero(), ctx.one()]))
+    report = census(PlaneCurve(form), seeds)
+    assert (len(report.quasi_galois_points()), report.delta) == (11, {3: 4})
+    reports.append(report)
+    for report in reports:
+        qg = report.quasi_galois_points()
+        orders = {}
+        for g in group_closure([r.generator.matrix for r in qg]):
+            try:
+                h = homology_from_matrix(g)
+            except NotAHomology:
+                continue
+            orders[h.center] = max(orders.get(h.center, 1), h.order)
+        assert orders == {r.point: r.order for r in qg}
 
 
 def test_mutual_pair_recognition():

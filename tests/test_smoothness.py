@@ -19,7 +19,6 @@ from quasigalois.modular import Reduction, split_reductions
 from quasigalois.errors import ZeroDivisorEncountered
 from quasigalois.smoothness import (
     _PRIME_FLOOR,
-    _full_rank,
     _full_rank_exact,
     _full_rank_mod_p,
     _monomials,
@@ -230,6 +229,99 @@ def test_bad_reduction_falls_back_to_the_exact_rank():
     assert is_smooth(form)
 
 
+def _reference_full_rank(rows, target, inverse, normal):
+    """The sparse dict elimination with the field's operations from the caller.
+
+    The reference for the packed rows of `_full_rank_mod_p`: fed the same
+    residues, both must reach the same rank on every form.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = inverse(row.pop(lead))
+                pivots[lead] = {m: normal(x * inv) for m, x in row.items()}
+                if len(pivots) == target:
+                    return True
+                break
+            scale = -row.pop(lead)
+            for m, x in pivot.items():
+                y = row.get(m)
+                y = normal(scale * x if y is None else y + scale * x)
+                if y:
+                    row[m] = y
+                else:
+                    row.pop(m, None)
+    return False
+
+
+def _reference_rank_mod_p(form):
+    """The rank mod P of the dict elimination, at the prime of _full_rank_mod_p.
+
+    A pivot costs one inversion, so with an unreachable target the number of
+    inversions is the largest target at which the elimination returns True.
+    """
+    red = next(split_reductions(form.context, [c.den for c in form.terms.values()], _PRIME_FLOOR))
+    p = red.p
+    partials = [
+        {e: r for e, c in form.partial(v).terms.items() if (r := red.element(c))}
+        for v in range(3)
+    ]
+    inversions = []
+
+    def inverse(x):
+        inversions.append(x)
+        return pow(x, -1, p)
+
+    rows = _rows(partials, form.degree)
+    assert not _reference_full_rank(rows, _target(form) + 1, inverse, lambda x: x % p)
+    return len(inversions)
+
+
+def _random_form(rng, ctx, degree, density):
+    """A seeded form with a random share of the monomials and dense coefficients."""
+    zeta, terms = ctx.zeta(), {}
+    for e in _monomials(degree):
+        if rng.random() < density:
+            powers = [zeta ** rng.randrange(ctx.conductor) * rng.randint(-9, 9) for _ in range(3)]
+            terms[e] = sum(powers, ctx.zero()) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    form = HomoPoly(ctx, degree, terms)
+    return HomoPoly.from_int_terms(ctx, degree, {(0, 0, degree): 1}) if form.is_zero() else form
+
+
+def test_packed_modular_rank_equals_the_dict_elimination(instances):
+    forms = [inst.curve.form for inst in instances.values()]
+    for conductor, degree in MOVED:
+        forms += _moved_forms(conductor, degree)
+    ctx = FieldContext(4)
+    p = next(split_reductions(ctx, [], _PRIME_FLOOR)).p
+    forms.append(HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): p}))
+    # sparse forms, most of short rank, alternate with dense ones by degree,
+    # and each degree gets a dense form at some conductors
+    rng = random.Random(3457)
+    for n, conductor in enumerate((1, 3, 4, 24, 210)):
+        ctx = FieldContext(conductor)
+        for degree in range(2, 9):
+            forms.append(_random_form(rng, ctx, degree, (0.2, 1.0)[(n + degree) % 2]))
+    # every coefficient p - 1 makes each entry of the partials large mod p,
+    # which drives the slots towards their bound
+    ctx = FieldContext(210)
+    p = next(split_reductions(ctx, [], _PRIME_FLOOR)).p
+    forms.append(HomoPoly.from_int_terms(ctx, 8, {e: p - 1 for e in _monomials(8)}))
+    short = 0
+    for form in forms:
+        if form.context.lambda_sq is not None:
+            assert not _full_rank_mod_p(form, 1)
+            continue
+        rank = _reference_rank_mod_p(form)
+        assert _full_rank_mod_p(form, rank)
+        assert not _full_rank_mod_p(form, rank + 1)
+        short += rank < _target(form)
+    assert 0 < short < len(forms)
+
+
 def test_a_modular_verdict_at_one_root_would_be_unsound_over_k_times_k():
     # Q(i)[l], l^2 = 4, is K x K; F is X^4 + Y^4 + Z^4 at l = 2 and the
     # singular X^4 + Y^4 at l = -2
@@ -250,7 +342,9 @@ def test_a_modular_verdict_at_one_root_would_be_unsound_over_k_times_k():
         for v in range(3)
     ]
     target = _target(form)
-    assert _full_rank(_rows(partials, 4), target, lambda x: pow(x, -1, p), lambda x: x % p)
+    assert _reference_full_rank(
+        _rows(partials, 4), target, lambda x: pow(x, -1, p), lambda x: x % p
+    )
     assert not _full_rank_mod_p(form, target)
 
 
