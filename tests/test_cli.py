@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -429,6 +430,21 @@ def test_degree_above_the_input_budget_is_a_usage_error(tmp_path, capsys):
     assert main(["smooth", "--curve", str(path), "--format", "json"]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["path"].endswith(".degree")
+
+
+def test_dense_singular_octic_at_the_degree_ceiling(tmp_path, capsys):
+    # over Q(zeta_3), two coordinates in -3..3 per coefficient of X^i Y^j Z^k,
+    # i <= 6: every partial vanishes at (1 : 0 : 0)
+    rng = random.Random(8)
+    terms = []
+    for i in range(6, -1, -1):
+        for j in range(8 - i, -1, -1):
+            coords = [str(rng.randint(-3, 3)), str(rng.randint(-3, 3))]
+            terms.append({"exps": [i, j, 8 - i - j], "coeff": {"conductor": 3, "coords": coords}})
+    path = tmp_path / "octic.json"
+    path.write_text(json.dumps({"field": {"conductor": 3}, "degree": 8, "terms": terms}))
+    assert main(["smooth", "--curve", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"smooth": False}
 
 
 @pytest.mark.parametrize("command", ["analyze", "point", "profile", "closure", "oracle-census"])

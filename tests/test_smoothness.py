@@ -1,5 +1,8 @@
 """Exact smoothness decisions over the algebraic closure."""
 
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from quasigalois import (
     ProjMatrix,
     is_smooth,
 )
-from quasigalois import catalog
+from quasigalois import catalog, smoothness
 from quasigalois.cyclotomic import FieldElement, _conjugate
 from quasigalois.modular import Reduction, split_reductions
 from quasigalois.errors import ZeroDivisorEncountered
@@ -381,3 +384,114 @@ def test_quadratic_extension_gets_the_exact_verdict(monkeypatch):
     calls = _count_inversions(monkeypatch)
     assert is_smooth(special.curve.form)
     assert calls
+
+
+def _family_quartic(a, b):
+    # X^4 + Y^4 + Z^4 + a X^2 Y^2 + b (Y^2 Z^2 + X^2 Z^2), the quartic families
+    ctx = FieldContext(4)
+    terms = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): a, (0, 2, 2): b, (2, 0, 2): b}
+    return HomoPoly(ctx, 4, {e: ctx.from_rational(c) for e, c in terms.items()})
+
+
+# The singular members of the quartic families (quartic_xy: b = 0;
+# quartic_symmetric: b = a; quartic_5family: any b), as (a, b).
+SINGULAR_MEMBERS = [
+    (2, 0), (-2, 0), (-1, -1), (2, 2), (-2, -2),
+    (2, Fraction(5, 3)), (-2, Fraction(1, 2)), (Fraction(1, 3), -2), (7, 3),
+    (Fraction(-7, 4), Fraction(-1, 2)),
+]
+
+
+def _seeded_forms():
+    """Rational and zeta-coefficient forms, each also made singular at a moved (1 : 0 : 0)."""
+    rng = random.Random(6151)
+    forms = []
+    for conductor in (1, 3, 4, 8, 12, 24):
+        ctx = FieldContext(conductor)
+        for degree in (3, 4):
+            rational = {e: ctx.from_int(rng.choice((-2, -1, 1, 2))) for e in _monomials(degree)}
+            powers = {e: ctx.zeta() ** rng.randrange(conductor) for e in rational}
+            for terms in (rational, {e: c + powers[e] for e, c in rational.items()}):
+                form = HomoPoly(ctx, degree, terms)
+                low = {e: c for e, c in form.terms.items() if e[0] <= degree - 2}
+                forms += [form, HomoPoly(ctx, degree, low).pullback(_random_invertible(rng, ctx))]
+    return forms
+
+
+@functools.cache
+def _equivalence_cases():
+    """Each form with its verdict by the exact rank over K."""
+    forms = list(_singular_quartics())
+    for conductor, degree in MOVED:
+        forms += _moved_forms(conductor, degree)
+    ctx = FieldContext(3)
+    for d in (2, 3):  # (X^2 + Y^2)^d + Z^(2d), singular only at (1 : +-i : 0)
+        terms = {(2 * i, 2 * d - 2 * i, 0): math.comb(d, i) for i in range(d + 1)}
+        forms.append(HomoPoly.from_int_terms(ctx, 2 * d, {**terms, (0, 0, 2 * d): 1}))
+    ctx = FieldContext(8)
+    zeta, one = ctx.zeta(), ctx.one()
+    singular = {(4, 0, 0): one, (2, 2, 0): zeta * 2, (0, 4, 0): zeta * zeta, (0, 0, 4): one}
+    for form in (
+        catalog.make("quartic_symmetric", a=zeta + 1).curve.form,
+        HomoPoly(ctx, 4, singular),
+    ):
+        for k in (1, 5, 7):
+            forms.append(HomoPoly(ctx, 4, {e: _conjugate(c, k) for e, c in form.terms.items()}))
+    ctx = FieldContext(4)
+    p = next(split_reductions(ctx, [], _PRIME_FLOOR)).p
+    forms.append(HomoPoly.from_int_terms(ctx, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): p}))
+    rng = random.Random(35)
+    for a, b in SINGULAR_MEMBERS:
+        forms.append(_family_quartic(a, b).pullback(_random_invertible(rng, ctx)))
+    forms += _seeded_forms()
+    return tuple((form, _full_rank_exact(form, _target(form))) for form in forms)
+
+
+def _first_primes(monkeypatch, count):
+    """Let is_smooth see only the first `count` split primes, so that a
+    verdict it cannot prove there ends the loop with None."""
+    primes = smoothness.split_reductions
+    monkeypatch.setattr(
+        smoothness, "split_reductions", lambda *args: itertools.islice(primes(*args), count)
+    )
+
+
+def test_modular_verdicts_match_the_exact_rank(monkeypatch):
+    cases = _equivalence_cases()
+    assert {verdict for _, verdict in cases} == {True, False}
+    _first_primes(monkeypatch, 8)
+    for form, verdict in cases:
+        assert is_smooth(form) is verdict
+
+
+def _forbid_the_exact_rank(monkeypatch):
+    def no_exact_rank(rows, target):
+        raise AssertionError("a plain context must not take the exact rank")
+
+    monkeypatch.setattr(smoothness, "_full_rank", no_exact_rank)
+
+
+def test_plain_contexts_never_take_the_exact_rank(monkeypatch):
+    singular = [form for form, verdict in _equivalence_cases() if not verdict]
+    _forbid_the_exact_rank(monkeypatch)
+    _first_primes(monkeypatch, 8)
+    assert len(singular) > 30
+    for form in singular:
+        assert is_smooth(form) is False
+
+
+def _dense_singular_octic():
+    # over Q(zeta_3), two coordinates in -3..3 per coefficient and no
+    # monomial of X-degree above 6, so all partials vanish at (1 : 0 : 0)
+    rng = random.Random(8)
+    ctx = FieldContext(3)
+    coords = {e: [rng.randint(-3, 3), rng.randint(-3, 3)] for e in _monomials(8) if e[0] <= 6}
+    return HomoPoly(ctx, 8, {e: ctx.from_int(a) + ctx.zeta() * b for e, (a, b) in coords.items()})
+
+
+def test_dense_octics_at_the_degree_ceiling_are_proven_singular(monkeypatch):
+    form = _dense_singular_octic()
+    _forbid_the_exact_rank(monkeypatch)
+    assert is_smooth(form) is False
+    m = ProjMatrix.from_ints(form.context, ((1, 1, -1), (1, -1, 1), (-1, 1, 1)))
+    assert is_smooth(form.pullback(m)) is False
